@@ -22,7 +22,7 @@ from .gaussian import (BipartiteCM, PhysicalityReport, log_negativity,
                        reduce_bipartite, symplectic_eigenvalues,
                        symplectic_form, validate_cm)
 from .lyapunov import (CovarianceMatrix, LyapunovError, lyapunov_residual,
-                       solve_lyapunov, solve_lyapunov_kron, write_debug_dump)
+                       solve_lyapunov, write_debug_dump)
 from .outputfield import (FilterSpec, IntegrationConfig, dump_integrand,
                           filter_fourier, intracavity_cm_spectral,
                           mech_noise_psd, output_cm, transfer_matrix)
@@ -53,7 +53,7 @@ __all__ = [
     "mean_phonon_number", "min_symplectic_pt", "min_symplectic_pt_spectral",
     "operating_point", "output_cm", "output_cm_at", "paper_params",
     "params_record", "parse_config", "polarization_split", "reduce_bipartite",
-    "reproduce_figure", "run_sweep", "solve_lyapunov", "solve_lyapunov_kron",
+    "reproduce_figure", "run_sweep", "solve_lyapunov",
     "solve_steady_state", "spectral_abscissa", "symplectic_eigenvalues",
     "symplectic_form", "transfer_matrix", "validate_cm", "write_debug_dump",
 ]

@@ -29,6 +29,7 @@ from .constants import HBAR, K_BOLTZMANN
 from .dynamics import STABILITY_MARGIN, assemble_drift, drift_matrix, spectral_abscissa
 from .gaussian import validate_cm
 from .lyapunov import CovarianceMatrix, MODES
+from .params import _checked
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,11 +55,9 @@ class FilterSpec:
     epsilon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.central_freq) and math.isfinite(self.filter_time)
-                and math.isfinite(self.epsilon)):
-            raise ValueError("filter spec fields must be finite")
-        if self.filter_time <= 0 or self.epsilon <= 0:
-            raise ValueError("filter_time and epsilon must be positive")
+        _checked("epsilon", self.epsilon)
+        _checked("filter_time", self.filter_time)
+        _checked("central_freq", self.central_freq, positive=False)
 
     @classmethod
     def from_epsilon(cls, epsilon, central_freq, mech_freq):

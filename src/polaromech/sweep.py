@@ -199,6 +199,8 @@ def _evaluate_point(record, epsilon, omega_over_omega_m, target):
         v_bp = reduce_bipartite(v, pair)
         diags["nu_min"] = min_symplectic_pt(v_bp)
         return log_negativity(v_bp), True, diags, ""
+    except ParameterError as err:
+        return _NAN, True, diags, "config: %s" % err
     except (LyapunovError, ArithmeticError, np.linalg.LinAlgError) as err:
         return _NAN, True, diags, "numeric: %s" % err
 

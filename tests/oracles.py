@@ -1,15 +1,16 @@
 """Independent reference computations used by several test modules.
 
 Everything here deliberately avoids the package's own solution paths:
-the Lyapunov oracles integrate the propagator in the time domain or solve
-the Kronecker system at 50 digits, the covariance generator builds matrices
-from a Williamson normal form.
+the Lyapunov oracles integrate the propagator in the time domain, run
+scipy's Bartels-Stewart (real Schur) solver, or solve the Kronecker system
+at 50 digits; the covariance generator builds matrices from a Williamson
+normal form.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 
 def brute_force_lyapunov(a, d, decades=13, order=12):
@@ -42,6 +43,13 @@ def brute_force_lyapunov(a, d, decades=13, order=12):
         total += 0.5 * dt * np.einsum("i,ijk->jk", wts, integ)
         left = left @ e_panel
     return total
+
+
+def bartels_stewart_lyapunov(a, d):
+    """Symmetrized scipy Bartels-Stewart solution of A V + V A^T = -D."""
+    v = solve_continuous_lyapunov(np.asarray(a, dtype=float),
+                                  -np.asarray(d, dtype=float))
+    return 0.5 * (v + v.T)
 
 
 def random_stable_pair(rng, n):
@@ -104,7 +112,8 @@ def kron_lyapunov_mp(a, d, dps=50):
 
     The float inputs are taken as exact; the (n^2 x n^2) system is assembled
     and LU-solved entirely in mpmath, so the result carries none of the
-    float rounding of the package's Schur route. Returns an mpmath matrix.
+    rounding of the package's double-precision solve. Returns an mpmath
+    matrix.
     """
     import mpmath
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from goldens import golden_cli_args
 
+import polaromech
 from polaromech import cli, lyapunov
 
 
@@ -132,11 +137,45 @@ def test_bad_axis_spec(capsys):
 def test_numeric_failure_exit_code(capsys, monkeypatch):
     # a covariance solve that comes back non-finite is a numeric failure,
     # not a configuration problem
-    monkeypatch.setattr(lyapunov, "solve_continuous_lyapunov",
-                        lambda a, q: np.full(np.shape(a), np.nan))
+    monkeypatch.setattr(lyapunov, "_solve_vectorized",
+                        lambda a, d: np.full(np.shape(a), np.nan))
     code = cli.main(["entangle", "--defaults", "paper"])
     assert code == 3
     assert "numeric" in capsys.readouterr().err
+
+
+def test_nonpositive_epsilon_is_config_error(capsys):
+    code = cli.main(["entangle", "--defaults", "paper", "--where", "output",
+                     "--epsilon", "0"])
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+
+
+def test_sweep_through_zero_epsilon_completes(capsys):
+    code, out_text = _run(capsys, "sweep", "--defaults", "paper",
+                          "--axis1", "epsilon:0:20:3",
+                          "--target", "EN_TE_mech_output")
+    assert code == 0
+    lines = out_text.splitlines()
+    assert len(lines) == 4
+    assert lines[1].startswith("0,nan,")
+    assert "config: epsilon" in lines[1]
+    assert lines[2].endswith(",")  # epsilon = 10 evaluates without error
+
+
+def test_import_loads_no_scipy():
+    # importing the package and its CLI must stay numpy-only: scipy alone
+    # used to cost more than half of a fresh process's start-up
+    src = str(Path(polaromech.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys, polaromech, polaromech.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_unstable_point_exit_code(capsys):
