@@ -3,13 +3,26 @@
 Each polarization's output field is projected onto a single causal filter
 mode (central frequency Omega, window length tau); the mechanical mode rides
 along unfiltered with its colored thermal noise N_m(omega). The stationary
-output covariance is the frequency integral of
+output covariance is the frequency integral of 2 Re h(w) over w >= 0, with
 
-    T(w) [M(w) + P/(2 kappa)] D(w) [M(w) + P/(2 kappa)]^H T(w)^H
+    h_ij(w) = sum_k d_k(w) y_ik(w) conj(y_jk(w)),    Y = T [M + P/(2 kappa)],
 
-with M(w) = (i w + A)^(-1), P the optical projector, D(w) the noise
-spectral densities, and T(w) carrying the filter transforms on the optical
-blocks and a flat 1/sqrt(2 pi) on the mechanical block.
+M(w) = (i w + A)^(-1) the resolvent of the drift, P the optical projector,
+d = (kappa, kappa, kappa, kappa, 0, N_m(w)) the noise spectral densities,
+and T the filter's 2x2 quadrature blocks on the optical rows and a flat
+1/sqrt(2 pi) on the mechanical rows.
+
+The resolvent is written in closed form from the structure of
+assemble_drift. The optical block of i w + A is two identical 2x2 blocks
+[[s, Delta], [-Delta, s]], with s = i w - kappa and Delta the effective
+detuning, whose inverse is [[s, -Delta], [Delta, s]] / (s^2 + Delta^2).
+The mechanics couples in only through the q column c and the p row b, so
+the Schur complement on (q, p) is the bare mechanical 2x2 block with one
+scalar sigma(w) = b^T Z_o^(-1) c subtracted from its (p, q) entry. Every
+entry of M is then a few length-N array operations on an entry-major
+(6, 6, N) stack. The same function serves the coupled drift, the
+zero-coupling reference, the mechanical reference block and the wide-band
+intracavity cross-check.
 
 Numerically the integral is evaluated as a difference against a
 zero-coupling reference system sharing the same integrand structure: the
@@ -119,15 +132,11 @@ def mech_noise_psd(omega, dp, temperature):
     gamma_m |w| / omega_m. Near w = +-omega_m it approaches the Markovian
     gamma_m (2 n_m + 1).
     """
-    w = np.asarray(omega, dtype=float)
-    scale = dp.mech_damping / dp.mech_freq
-    if temperature == 0.0:
-        out = scale * np.abs(w)
-    else:
-        b = HBAR / (2.0 * K_BOLTZMANN * temperature)
-        x = b * w
-        with np.errstate(invalid="ignore"):
-            out = np.where(x == 0.0, scale / b, scale * w / np.tanh(x))
+    w_m = dp.mech_freq
+    beta_bar = (math.inf if temperature == 0.0
+                else HBAR * w_m / (2.0 * K_BOLTZMANN * temperature))
+    out = w_m * _colored_noise(np.asarray(omega, dtype=float) / w_m,
+                               dp.mech_damping / w_m, beta_bar)
     if np.isscalar(omega):
         return float(out)
     return out
@@ -158,10 +167,16 @@ def _beta_bar(thermal_occupancy):
 
 
 def _colored_noise(w, gamma_bar, beta_bar):
-    """N_m in omega_m units on a positive-frequency grid."""
+    """N_m(w) = gamma_bar w coth(beta_bar w), everything in omega_m units.
+
+    beta_bar = hbar omega_m / (2 kB T) is inf at T = 0, where N_m reduces to
+    gamma_bar |w|; at w = 0 the finite-T limit is gamma_bar / beta_bar.
+    """
     if math.isinf(beta_bar):
         return gamma_bar * np.abs(w)
-    return gamma_bar * w / np.tanh(beta_bar * w)
+    x = beta_bar * w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(x == 0.0, gamma_bar / beta_bar, gamma_bar * w / np.tanh(x))
 
 
 def _gauss_panels(edges, order):
@@ -226,21 +241,73 @@ def _filter_blocks(w, spec_scaled):
     return fx, fy
 
 
-def _output_transform(w, spec_te, spec_tm, kappa_bar):
-    """Stacked T(w) matrices, (len(w), 6, 6) complex."""
-    t = np.zeros((len(w), 6, 6), dtype=complex)
-    sq = math.sqrt(2.0 * kappa_bar)
-    for offset, spec in ((0, spec_te), (2, spec_tm)):
-        fx, fy = _filter_blocks(w, spec)
-        t[:, offset, offset] = sq * fx
-        t[:, offset + 1, offset + 1] = sq * fx
-        t[:, offset, offset + 1] = -sq * fy
-        t[:, offset + 1, offset] = sq * fy
-    t[:, 4, 4] = t[:, 5, 5] = 1.0 / math.sqrt(TWO_PI)
-    return t
+def _resolvent(w, a):
+    """(i w + A)^(-1) in closed form, entry-major (6, 6, len(w)) complex.
+
+    A must have the structure assemble_drift gives it (ValueError
+    otherwise). With Z_o^(-1) the optical block inverse, u = Z_o^(-1) c and
+    v = b^T Z_o^(-1) for the coupling column c and row b, and S^(-1) the
+    inverse of the mechanical Schur complement:
+
+        M_mm = S^(-1),  M_om = -u S^(-1)[q, :],  M_mo = -S^(-1)[:, p] v^T,
+        M_oo = Z_o^(-1) + S^(-1)[q, p] u v^T.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape != (6, 6) or not np.array_equal(a, assemble_drift(
+            -a[0, 0], a[0, 1], complex(a[5, 0], a[5, 1]),
+            complex(a[5, 2], a[5, 3]), -a[5, 5], a[4, 5])):
+        raise ValueError("closed-form resolvent needs a drift matrix with "
+                         "the structure of assemble_drift")
+    z = 1j * np.asarray(w, dtype=float)
+    s = z + a[0, 0]
+    den = s * s + a[0, 1] ** 2
+    diag = s / den              # each optical block inverse is
+    off = a[0, 1] / den         # [[diag, -off], [off, diag]]
+    c, b = a[:4, 4], a[5, :4]
+    u = np.empty((4, len(z)), dtype=complex)
+    v = np.empty_like(u)
+    for o in (0, 2):
+        u[o] = diag * c[o] - off * c[o + 1]
+        u[o + 1] = off * c[o] + diag * c[o + 1]
+        v[o] = b[o] * diag + b[o + 1] * off
+        v[o + 1] = b[o + 1] * diag - b[o] * off
+    sigma = b @ u
+    # Schur complement on (q, p): [[s_qq, s_qp], [s_pq, s_pp]]
+    s_qq = z + a[4, 4]
+    s_pp = z + a[5, 5]
+    s_qp = a[4, 5]
+    s_pq = a[5, 4] - sigma
+    det = s_qq * s_pp - s_qp * s_pq
+    m = np.empty((6, 6, len(z)), dtype=complex)
+    m[4, 4] = s_pp / det
+    m[4, 5] = -s_qp / det
+    m[5, 4] = -s_pq / det
+    m[5, 5] = s_qq / det
+    m[:4, 4:] = -u[:, None] * m[4, 4:][None]
+    m[4:, :4] = -m[4:, 5][:, None] * v[None]
+    m[:4, :4] = (u * m[4, 5])[:, None] * v[None]
+    for o in (0, 2):
+        m[o, o] += diag
+        m[o + 1, o + 1] += diag
+        m[o, o + 1] -= off
+        m[o + 1, o] += off
+    return m
 
 
-_P_OUT = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+def _gram(y, weights):
+    """Re sum_k d_k y_ik conj(y_jk) for entry-major y, as an (N, n, n) view.
+
+    weights maps each noisy column k to d_k >= 0 (scalar or per node); the
+    other columns carry no noise. The result is symmetric by construction.
+    """
+    g = np.stack([y[:, k] * np.sqrt(d) for k, d in weights.items()], axis=1)
+    g = np.concatenate([g.real, g.imag], axis=1)
+    n = y.shape[0]
+    h = np.empty((n, n, y.shape[2]))
+    for i in range(n):
+        for j in range(i, n):
+            h[i, j] = h[j, i] = np.einsum("kn,kn->n", g[i], g[j])
+    return np.moveaxis(h, 2, 0)
 
 
 def _difference_integrand(w, a, a_ref, kappa_bar, gamma_bar, beta_bar,
@@ -249,35 +316,42 @@ def _difference_integrand(w, a, a_ref, kappa_bar, gamma_bar, beta_bar,
 
     The integrand is Hermitian with H(-w) = conj(H(w)), so folding the
     negative-frequency half gives 2 Re H; the result is manifestly real and
-    symmetric up to quadrature error.
+    symmetric.
     """
-    eye = np.eye(6)
-    m_full = np.linalg.inv(1j * w[:, None, None] * eye + a[None])
-    m_ref = np.linalg.inv(1j * w[:, None, None] * eye + a_ref[None])
-    dmat = np.zeros((len(w), 6, 6))
-    for i in range(4):
-        dmat[:, i, i] = kappa_bar
-    dmat[:, 5, 5] = _colored_noise(w, gamma_bar, beta_bar)
-    t = _output_transform(w, spec_te, spec_tm, kappa_bar)
-    t_h = np.conj(np.swapaxes(t, 1, 2))
-    x_full = m_full + _P_OUT[None] / (2.0 * kappa_bar)
-    x_ref = m_ref + _P_OUT[None] / (2.0 * kappa_bar)
-    h_full = t @ x_full @ dmat @ np.conj(np.swapaxes(x_full, 1, 2)) @ t_h
-    h_ref = t @ x_ref @ dmat @ np.conj(np.swapaxes(x_ref, 1, 2)) @ t_h
-    return 2.0 * np.real(h_full - h_ref)
+    sq = math.sqrt(2.0 * kappa_bar)
+    blocks = [(o, *_filter_blocks(w, spec)) for o, spec in ((0, spec_te), (2, spec_tm))]
+    weights = {k: kappa_bar for k in range(4)}
+    weights[5] = _colored_noise(w, gamma_bar, beta_bar)
+
+    def output_gram(drift):
+        x = _resolvent(w, drift)
+        for i in range(4):
+            x[i, i] += 0.5 / kappa_bar
+        y = np.empty_like(x)
+        for o, fx, fy in blocks:
+            y[o] = sq * (fx * x[o] - fy * x[o + 1])
+            y[o + 1] = sq * (fy * x[o] + fx * x[o + 1])
+        y[4:] = x[4:] / math.sqrt(TWO_PI)
+        return _gram(y, weights)
+
+    return 2.0 * (output_gram(a) - output_gram(a_ref))
 
 
 def _converge_panels(edges, order, evaluate, tolerance, max_doublings):
     """Integrate evaluate(w) with panel doubling until entries stop moving.
 
-    Returns (value, achieved_change); raises ArithmeticError when doubling
-    max_doublings times still moves some entry beyond tolerance.
+    Returns (value, achieved_change); raises ArithmeticError on the first
+    non-finite value, and when doubling max_doublings times still moves
+    some entry beyond tolerance.
     """
     prev = None
     change = math.inf
     for _ in range(max_doublings + 1):
         nodes, weights = _gauss_panels(edges, order)
         val = np.einsum("i,ijk->jk", weights, evaluate(nodes))
+        if not np.all(np.isfinite(val)):
+            raise ArithmeticError("non-finite output quadrature value on %d "
+                                  "nodes" % len(nodes))
         if prev is not None:
             change = float(np.max(np.abs(val - prev)))
             if change < tolerance * max(1.0, float(np.max(np.abs(val)))):
@@ -288,18 +362,14 @@ def _converge_panels(edges, order, evaluate, tolerance, max_doublings):
                           "doubling still moved entries by %g" % change)
 
 
-def _mech_reference_cm(a_mech, gamma_bar, beta_bar, cfg):
+def _mech_reference_cm(a_ref, gamma_bar, beta_bar, cfg):
     """Stationary 2x2 mechanical covariance of the uncoupled colored model."""
     width = max(cfg.freq_cutoff, _MECH_REFERENCE_WINDOW)
     edges = _graded_edges([(1.0, max(gamma_bar / 2.0, 1e-7))], width)
-    eye = np.eye(2)
 
     def evaluate(w):
-        m = np.linalg.inv(1j * w[:, None, None] * eye + a_mech[None])
-        dmat = np.zeros((len(w), 2, 2))
-        dmat[:, 1, 1] = _colored_noise(w, gamma_bar, beta_bar)
-        h = m @ dmat @ np.conj(np.swapaxes(m, 1, 2))
-        return 2.0 * np.real(h) / TWO_PI
+        m = _resolvent(w, a_ref)[4:, 4:]
+        return 2.0 * _gram(m, {1: _colored_noise(w, gamma_bar, beta_bar)}) / TWO_PI
 
     val, _ = _converge_panels(edges, max(cfg.gauss_order, 16), evaluate,
                               cfg.tolerance, cfg.max_doublings)
@@ -320,24 +390,17 @@ def _window(cfg, kappa_bar, specs):
     return max(cfg.freq_cutoff, lobe, 3.0 + 20.0 * kappa_bar)
 
 
-def output_cm(ss, dp, spec_te, spec_tm, cfg=None):
-    """Stationary covariance of (filtered TE out, filtered TM out, mechanics).
+def _output_problem(ss, dp, spec_te, spec_tm, cfg):
+    """Scaled drifts, difference integrand and initial panel edges.
 
-    Basis (X_te_out, Y_te_out, X_tm_out, Y_tm_out, q, p), vacuum variance
-    1/2. The system must be stable; the result is checked for physicality
-    and an unphysical matrix is a hard error (it would indicate a broken
-    sign convention, not a tolerance issue).
+    Everything runs in omega_m units (tau -> epsilon). output_cm integrates
+    exactly this integrand from exactly these edges; dump_integrand samples
+    it there. Returns (a, a_ref, gamma_bar, beta_bar, evaluate, edges).
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
     w_m = dp.mech_freq
     _check_filter(spec_te, w_m, "TE")
     _check_filter(spec_tm, w_m, "TM")
     a, a_ref, kappa_bar, gamma_bar, beta_bar = _scaled_setup(ss, dp)
-    if spectral_abscissa(a) >= -STABILITY_MARGIN:
-        raise ValueError("cannot form the stationary output of an unstable system")
-
-    # Internally everything runs in omega_m units (tau -> epsilon).
     te = FilterSpec(spec_te.central_freq / w_m, spec_te.epsilon, spec_te.epsilon)
     tm = FilterSpec(spec_tm.central_freq / w_m, spec_tm.epsilon, spec_tm.epsilon)
     features = _eigen_features(a) + _eigen_features(a_ref)
@@ -350,13 +413,31 @@ def output_cm(ss, dp, spec_te, spec_tm, cfg=None):
         return _difference_integrand(w, a, a_ref, kappa_bar, gamma_bar,
                                      beta_bar, te, tm)
 
+    return a, a_ref, gamma_bar, beta_bar, evaluate, edges
+
+
+def output_cm(ss, dp, spec_te, spec_tm, cfg=None):
+    """Stationary covariance of (filtered TE out, filtered TM out, mechanics).
+
+    Basis (X_te_out, Y_te_out, X_tm_out, Y_tm_out, q, p), vacuum variance
+    1/2. The system must be stable; the result is checked for physicality
+    and an unphysical matrix is a hard error (it would indicate a broken
+    sign convention, not a tolerance issue).
+    """
+    if cfg is None:
+        cfg = IntegrationConfig()
+    a, a_ref, gamma_bar, beta_bar, evaluate, edges = _output_problem(
+        ss, dp, spec_te, spec_tm, cfg)
+    if spectral_abscissa(a) >= -STABILITY_MARGIN:
+        raise ValueError("cannot form the stationary output of an unstable system")
+
     diff, _ = _converge_panels(edges, cfg.gauss_order, evaluate,
                                cfg.tolerance, cfg.max_doublings)
 
     reference = np.zeros((6, 6))
     for i in range(4):
         reference[i, i] = 0.5  # filtered vacuum, exact by filter normalization
-    reference[4:, 4:] = _mech_reference_cm(a[4:, 4:], gamma_bar, beta_bar, cfg)
+    reference[4:, 4:] = _mech_reference_cm(a_ref, gamma_bar, beta_bar, cfg)
     v = diff + reference
 
     asym = float(np.max(np.abs(v - v.T)))
@@ -384,20 +465,17 @@ def intracavity_cm_spectral(ss, dp, cfg=None):
     a, _, kappa_bar, gamma_bar, _ = _scaled_setup(ss, dp)
     if spectral_abscissa(a) >= -STABILITY_MARGIN:
         raise ValueError("cannot form the stationary state of an unstable system")
-    dmat = np.diag([kappa_bar] * 4
-                   + [0.0, gamma_bar * (2.0 * dp.thermal_occupancy + 1.0)])
+    noise = [kappa_bar] * 4 + [0.0, gamma_bar * (2.0 * dp.thermal_occupancy + 1.0)]
+    weights = {k: d for k, d in enumerate(noise) if d}
     width = cfg.freq_cutoff
     edges = _graded_edges(_eigen_features(a), width)
-    eye = np.eye(6)
 
     def evaluate(w):
-        m = np.linalg.inv(1j * w[:, None, None] * eye + a[None])
-        h = m @ dmat[None] @ np.conj(np.swapaxes(m, 1, 2))
-        return 2.0 * np.real(h) / TWO_PI
+        return 2.0 * _gram(_resolvent(w, a), weights) / TWO_PI
 
     val, _ = _converge_panels(edges, cfg.gauss_order, evaluate,
                               cfg.tolerance, cfg.max_doublings)
-    v = val + dmat / (math.pi * width)
+    v = val + np.diag(noise) / (math.pi * width)
     v = 0.5 * (v + v.T)
     return CovarianceMatrix(v, modes=MODES)
 
@@ -410,18 +488,9 @@ def dump_integrand(path, ss, dp, spec_te, spec_tm, cfg=None):
     """
     if cfg is None:
         cfg = IntegrationConfig()
-    w_m = dp.mech_freq
-    a, a_ref, kappa_bar, gamma_bar, beta_bar = _scaled_setup(ss, dp)
-    te = FilterSpec(spec_te.central_freq / w_m, spec_te.epsilon, spec_te.epsilon)
-    tm = FilterSpec(spec_tm.central_freq / w_m, spec_tm.epsilon, spec_tm.epsilon)
-    features = _eigen_features(a) + _eigen_features(a_ref)
-    features += [(abs(te.central_freq), TWO_PI / te.epsilon),
-                 (abs(tm.central_freq), TWO_PI / tm.epsilon),
-                 (1.0, 1e-6)]
-    edges = _graded_edges(features, _window(cfg, kappa_bar, (te, tm)))
+    *_, evaluate, edges = _output_problem(ss, dp, spec_te, spec_tm, cfg)
     nodes, _ = _gauss_panels(edges, cfg.gauss_order)
-    h = _difference_integrand(nodes, a, a_ref, kappa_bar, gamma_bar,
-                              beta_bar, te, tm)
+    h = evaluate(nodes)
     with open(path, "w") as fh:
         fh.write("omega_over_omega_m," +
                  ",".join("h_%d%d" % (i, j) for i in range(6) for j in range(6))

@@ -135,6 +135,64 @@ def kron_lyapunov_mp(a, d, dps=50):
                               for i in range(n)])
 
 
+def resolvent_mp(omega, a, dps=50):
+    """(i omega I + A)^(-1) LU-inverted in dps-digit arithmetic (mpmath).
+
+    The float inputs are taken as exact; the result is rounded once to a
+    complex numpy array.
+    """
+    import mpmath
+
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    with mpmath.workdps(dps):
+        z = mpmath.matrix(a.tolist())
+        for i in range(n):
+            z[i, i] += mpmath.mpc(0, float(omega))
+        m = mpmath.inverse(z)
+        return np.array([[complex(m[i, j]) for j in range(n)]
+                         for i in range(n)])
+
+
+def output_integrand_matrix_form(w, a, a_ref, kappa_bar, gamma_bar,
+                                 beta_bar, spec_te, spec_tm):
+    """Filtered-output difference integrand built as explicit 6x6 products.
+
+    2 Re [T X D X^H T^H (full) - the same (reference)] per node, with
+    X = (i w + A)^(-1) + P / (2 kappa) from numpy's inverse, T the filter
+    transform as a full matrix, and D = diag(kappa x4, 0, N_m(w)) with
+    N_m = gamma_bar w coth(beta_bar w). Everything in omega_m units on
+    w > 0, as (len(w), 6, 6).
+    """
+    from polaromech import filter_fourier
+
+    w = np.asarray(w, dtype=float)
+    n = w.size
+    t = np.zeros((n, 6, 6), dtype=complex)
+    sq = math.sqrt(2.0 * kappa_bar)
+    for o, spec in ((0, spec_te), (2, spec_tm)):
+        gp = filter_fourier(spec, w)
+        gm = np.conj(filter_fourier(spec, -w))
+        fx, fy = 0.5 * (gp + gm), (gp - gm) / 2j
+        t[:, o, o] = t[:, o + 1, o + 1] = sq * fx
+        t[:, o, o + 1] = -sq * fy
+        t[:, o + 1, o] = sq * fy
+    t[:, 4, 4] = t[:, 5, 5] = 1.0 / math.sqrt(2.0 * math.pi)
+    d = np.zeros((n, 6, 6))
+    for i in range(4):
+        d[:, i, i] = kappa_bar
+    d[:, 5, 5] = (gamma_bar * w if math.isinf(beta_bar)
+                  else gamma_bar * w / np.tanh(beta_bar * w))
+    proj = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]) / (2.0 * kappa_bar)
+
+    def h(drift):
+        x = np.linalg.inv(1j * w[:, None, None] * np.eye(6) + drift) + proj
+        y = t @ x
+        return y @ d @ np.conj(np.swapaxes(y, 1, 2))
+
+    return 2.0 * np.real(h(a) - h(a_ref))
+
+
 def log_negativity_mp(v, idx, dps=50):
     """E_N of the two modes at quadrature indices idx of an mpmath CM.
 

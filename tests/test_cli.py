@@ -9,7 +9,7 @@ import pytest
 from goldens import golden_cli_args
 
 import polaromech
-from polaromech import cli, lyapunov
+from polaromech import cli, lyapunov, outputfield
 
 
 def _run(capsys, *argv):
@@ -142,6 +142,28 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
     code = cli.main(["entangle", "--defaults", "paper"])
     assert code == 3
     assert "numeric" in capsys.readouterr().err
+
+
+def _nan_integrand(w, *args):
+    return np.full((w.size, 6, 6), np.nan)
+
+
+def test_nonfinite_output_quadrature_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(outputfield, "_difference_integrand", _nan_integrand)
+    code = cli.main(["entangle", "--defaults", "paper", "--where", "output"])
+    assert code == 3
+    assert "numeric" in capsys.readouterr().err
+
+
+def test_sweep_records_nonfinite_output_quadrature(capsys, monkeypatch):
+    monkeypatch.setattr(outputfield, "_difference_integrand", _nan_integrand)
+    code, out_text = _run(capsys, "sweep", "--defaults", "paper",
+                          "--axis1", "epsilon:5:10:2",
+                          "--target", "EN_TE_mech_output")
+    assert code == 0
+    rows = out_text.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(",nan," in row and "numeric: non-finite" in row for row in rows)
 
 
 def test_nonpositive_epsilon_is_config_error(capsys):

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 from goldens import golden_params
+from oracles import output_integrand_matrix_form, resolvent_mp
 
 from polaromech import (FilterSpec, IntegrationConfig, SteadyState,
-                        derive_constants, dump_integrand, filter_fourier,
-                        intracavity_cm, intracavity_cm_spectral,
-                        log_negativity, mech_noise_psd, operating_point,
-                        output_cm, output_cm_at, paper_params,
-                        reduce_bipartite, solve_steady_state, transfer_matrix,
-                        validate_cm)
+                        derive_constants, drift_matrix, dump_integrand,
+                        filter_fourier, intracavity_cm,
+                        intracavity_cm_spectral, log_negativity,
+                        mech_noise_psd, operating_point, output_cm,
+                        output_cm_at, outputfield, paper_params,
+                        reduce_bipartite, solve_steady_state,
+                        spectral_abscissa, transfer_matrix, validate_cm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +124,101 @@ def test_transfer_matrix_singular_at_undamped_resonance():
         transfer_matrix(1.0, a)
 
 
+# --- closed-form resolvent ---
+
+def _resolvent_points():
+    """Stable scaled drifts: theta, Q_c, the overdamped corner, a three-root branch."""
+    theta = float(np.random.default_rng(11).uniform(0.0, math.pi / 2))
+    overrides = [{"polarization_angle": t, "optical_quality": q}
+                 for t in (0.0, math.pi / 2, theta) for q in (1e6, 1e7, 1e8, 1e9)]
+    w = paper_params().mech_freq
+    overrides += [{"polarization_angle": theta, "optical_quality": q,
+                   "cavity_detuning": 0.6 * w} for q in (1e6, 1e7, 1e8, 1e9)]
+    points = [operating_point(paper_params(**over)) for over in overrides]
+    g = golden_params()
+    dp, ss = operating_point(golden_params(cavity_detuning=2.0 * g.mech_freq,
+                                           drive_power=0.285))
+    assert ss.root_count == 3
+    points.append((dp, ss))
+    return [drift_matrix(ss, dp) for dp, ss in points]
+
+
+def test_resolvent_matches_inverse_oracle():
+    # Two backward-stable inverses may differ by about eps * cond(i w + A)
+    # of max|M|. That is above 1e-12 only on the mechanical resonance of the
+    # Q_c = 1e6 drifts (cond up to ~1e7), where the closed form is the one
+    # nearer the truth (next test); 2.4 eps cond is the largest seen.
+    eps = np.finfo(float).eps
+    for a in _resolvent_points():
+        assert spectral_abscissa(a) < 0.0
+        resonances = np.abs(np.linalg.eigvals(a).imag)
+        grid = np.concatenate([np.linspace(-4.0, 4.0, 81), resonances,
+                               -resonances, [0.0, 40.0, -40.0]])
+        m = outputfield._resolvent(grid, a)
+        assert m.shape == (6, 6, grid.size)
+        for i, wv in enumerate(grid):
+            oracle = transfer_matrix(wv, a)
+            cond = np.linalg.cond(1j * wv * np.eye(6) + a)
+            tol = max(1e-12, 8.0 * eps * cond) * np.abs(oracle).max()
+            assert np.abs(m[:, :, i] - oracle).max() <= tol
+
+
+def test_resolvent_at_sharp_mechanical_resonance_high_precision():
+    # where the comparison above is conditioning-limited, check the closed
+    # form against a 50-digit inverse instead (numpy's inv is 8.7e-12 off
+    # at the worst of these nodes, the closed form 3.9e-12)
+    for a in _resolvent_points():
+        if -a[0, 0] < 30.0:        # Q_c = 1e6 only: kappa ~ 37 omega_m
+            continue
+        evs = np.linalg.eigvals(a)
+        mech = evs[np.argmin(np.abs(evs.real))]
+        wv = abs(mech.imag)
+        exact = resolvent_mp(wv, a)
+        m = outputfield._resolvent(np.array([wv]), a)[:, :, 0]
+        assert np.abs(m - exact).max() <= 1e-11 * np.abs(exact).max()
+
+
+def test_resolvent_rejects_foreign_structure():
+    _, dp, ss = _baseline()
+    a = drift_matrix(ss, dp)
+    w = np.array([0.5, 1.0])
+    for i, j in ((0, 2), (4, 0), (1, 5), (0, 0)):
+        bad = a.copy()
+        bad[i, j] += 0.25
+        with pytest.raises(ValueError):
+            outputfield._resolvent(w, bad)
+    with pytest.raises(ValueError):
+        outputfield._resolvent(w, a[4:, 4:])
+
+
+def test_difference_integrand_matches_matrix_form():
+    # per-polarization filters, so the TE and TM rows see different blocks
+    te = FilterSpec(-1.0, 10.0, 10.0)
+    tm = FilterSpec(-0.4, 3.0, 3.0)
+    for over in ({}, {"polarization_angle": 0.7, "temperature": 0.0},
+                 {"optical_quality": 1e6, "cavity_detuning":
+                  0.6 * paper_params().mech_freq}):
+        dp, ss = operating_point(paper_params(**over))
+        a, a_ref, kappa_bar, gamma_bar, beta_bar = outputfield._scaled_setup(ss, dp)
+        resonances = np.abs(np.linalg.eigvals(a).imag)
+        w = np.sort(np.concatenate([np.linspace(1e-3, 8.0, 400), resonances]))
+        args = (w, a, a_ref, kappa_bar, gamma_bar, beta_bar, te, tm)
+        h = outputfield._difference_integrand(*args)
+        oracle = output_integrand_matrix_form(*args)
+        assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_output_cm_uses_no_matrix_inverse(monkeypatch):
+    p, dp, ss = _baseline()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    spec = FilterSpec.stokes(10.0, dp.mech_freq)
+    assert validate_cm(output_cm(ss, dp, spec, spec)).physical
+
+
 # --- output covariance ---
 
 def test_output_decoupled_optical_blocks_exact_vacuum():
@@ -146,6 +243,16 @@ def test_output_undriven_tm_block_exact_vacuum():
     v = np.asarray(output_cm(ss, dp, spec, spec))
     assert np.array_equal(v[2:4, 2:4], 0.5 * np.eye(2))
     assert np.all(v[2:4, :2] == 0.0) and np.all(v[2:4, 4:] == 0.0)
+
+
+def test_output_undriven_te_block_exact_vacuum():
+    # theta = pi/2 leaves TE undriven; its filtered output block is pure vacuum
+    p = paper_params(polarization_angle=math.pi / 2)
+    dp, ss = operating_point(p)
+    spec = FilterSpec.stokes(10.0, dp.mech_freq)
+    v = np.asarray(output_cm(ss, dp, spec, spec))
+    assert np.array_equal(v[:2, :2], 0.5 * np.eye(2))
+    assert np.all(v[:2, 2:] == 0.0)
 
 
 def test_output_entanglement_epsilon_scan():
@@ -236,6 +343,21 @@ def test_nonconvergence_raises_with_achieved_change():
     assert "moved entries by" in str(err.value)
 
 
+def test_nonfinite_integrand_stops_on_first_pass(monkeypatch):
+    p, dp, ss = _baseline()
+    spec = FilterSpec.stokes(10.0, dp.mech_freq)
+    passes = []
+
+    def nan_integrand(w, *args):
+        passes.append(w.size)
+        return np.full((w.size, 6, 6), np.nan)
+
+    monkeypatch.setattr(outputfield, "_difference_integrand", nan_integrand)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        output_cm(ss, dp, spec, spec)
+    assert len(passes) == 1
+
+
 # --- wide-band Markovian consistency ---
 
 def test_spectral_route_reproduces_lyapunov():
@@ -264,3 +386,24 @@ def test_dump_integrand(tmp_path):
     assert data.shape[1] == 37
     w = data[:, 0]
     assert np.all(np.diff(w) > 0) and w.min() > 0.0
+
+
+def test_dump_samples_output_cm_first_pass(tmp_path, monkeypatch):
+    p, dp, ss = _baseline()
+    spec = FilterSpec.stokes(2.0, dp.mech_freq)
+    passes = []
+    integrand = outputfield._difference_integrand
+
+    def spy(w, *args):
+        h = integrand(w, *args)
+        passes.append((w, h))
+        return h
+
+    monkeypatch.setattr(outputfield, "_difference_integrand", spy)
+    output_cm(ss, dp, spec, spec)
+    nodes, h = passes[0]
+    path = tmp_path / "integrand.csv"
+    dump_integrand(path, ss, dp, spec, spec)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], nodes)
+    assert np.array_equal(data[:, 1:], np.asarray(h).reshape(len(nodes), 36))
