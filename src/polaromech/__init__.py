@@ -23,15 +23,14 @@ from .gaussian import (BipartiteCM, PhysicalityReport, log_negativity,
                        symplectic_form, validate_cm)
 from .lyapunov import (CovarianceMatrix, LyapunovError, lyapunov_residual,
                        solve_lyapunov, write_debug_dump)
-from .outputfield import (FilterSpec, IntegrationConfig, dump_integrand,
-                          filter_fourier, intracavity_cm_spectral,
-                          mech_noise_psd, output_cm, transfer_matrix)
+from .outputfield import (FilterSpec, dump_integrand, filter_fourier,
+                          intracavity_cm_spectral, output_cm)
 from .params import (DerivedParams, ParameterError, SystemParams,
                      derive_constants, mean_phonon_number, polarization_split)
 from .pipeline import (entanglement, intracavity_cm, operating_point,
                        output_cm_at)
 from .steadystate import (SteadyState, UnstableOperatingPointError,
-                          effective_couplings, solve_steady_state)
+                          solve_steady_state)
 from .sweep import (AXIS_NAMES, TARGETS, Axis, ResultTable, SweepSpec,
                     run_sweep)
 
@@ -40,20 +39,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AXIS_NAMES", "Axis", "BASIS_LABELS", "BipartiteCM", "CONFIG_KEYS",
     "C_LIGHT", "ConfigError", "CovarianceMatrix", "DerivedParams",
-    "DriftDiffusion", "FIGURES", "FilterSpec", "HBAR", "IntegrationConfig",
-    "K_BOLTZMANN", "LyapunovError", "PAPER_BASELINE", "PLANCK_H",
-    "ParameterError", "PhysicalityReport", "ResultTable", "STABILITY_MARGIN",
-    "SteadyState", "SweepSpec", "SystemParams", "TARGETS",
-    "UnstableOperatingPointError", "assemble_drift",
-    "build_params", "characteristic_polynomial", "derive_constants",
-    "diffusion_matrix", "drift_diffusion", "drift_matrix", "dump_integrand",
-    "effective_couplings", "entanglement", "filter_fourier",
+    "DriftDiffusion", "FIGURES", "FilterSpec", "HBAR", "K_BOLTZMANN",
+    "LyapunovError", "PAPER_BASELINE", "PLANCK_H", "ParameterError",
+    "PhysicalityReport", "ResultTable", "STABILITY_MARGIN", "SteadyState",
+    "SweepSpec", "SystemParams", "TARGETS", "UnstableOperatingPointError",
+    "assemble_drift", "build_params", "characteristic_polynomial",
+    "derive_constants", "diffusion_matrix", "drift_diffusion",
+    "drift_matrix", "dump_integrand", "entanglement", "filter_fourier",
     "intracavity_cm", "intracavity_cm_spectral", "is_stable_eigen",
     "is_stable_routh_hurwitz", "log_negativity", "lyapunov_residual",
-    "mean_phonon_number", "min_symplectic_pt", "min_symplectic_pt_spectral",
-    "operating_point", "output_cm", "output_cm_at", "paper_params",
-    "params_record", "parse_config", "polarization_split", "reduce_bipartite",
-    "reproduce_figure", "run_sweep", "solve_lyapunov",
-    "solve_steady_state", "spectral_abscissa", "symplectic_eigenvalues",
-    "symplectic_form", "transfer_matrix", "validate_cm", "write_debug_dump",
+    "mean_phonon_number", "min_symplectic_pt",
+    "min_symplectic_pt_spectral", "operating_point", "output_cm",
+    "output_cm_at", "paper_params", "params_record", "parse_config",
+    "polarization_split", "reduce_bipartite", "reproduce_figure",
+    "run_sweep", "solve_lyapunov", "solve_steady_state",
+    "spectral_abscissa", "symplectic_eigenvalues", "symplectic_form",
+    "validate_cm", "write_debug_dump",
 ]

@@ -20,18 +20,15 @@ from .config import PAPER_BASELINE
 from .sweep import ResultTable, _evaluate_point
 
 
-def _point(record, eps=10.0, om=-1.0, target="EN_TE_mech_intracavity"):
-    value, stable, diags, err = _evaluate_point(record, eps, om, target)
-    return value, stable, diags, err
-
-
 def _intracavity_rows(points, columns_of):
     """Evaluate (record, axis_values) pairs for both intracavity pairs."""
     rows = []
     for axis_values, record in points:
-        en_te, stable, _, err = _point(record, target="EN_TE_mech_intracavity")
+        en_te, stable, _, err = _evaluate_point(
+            record, 10.0, -1.0, "EN_TE_mech_intracavity")
         if stable:
-            en_tm, _, _, err2 = _point(record, target="EN_TM_mech_intracavity")
+            en_tm, _, _, err2 = _evaluate_point(
+                record, 10.0, -1.0, "EN_TM_mech_intracavity")
             err = err or err2
         else:
             en_tm = en_te
@@ -112,7 +109,8 @@ def _fig2d():
     rows = []
     for axis_values, record in _records({}, [("delta_c_over_omega_m", deltas),
                                              ("theta_rad", thetas)]):
-        _, stable, diags, err = _point(record, target="coupling_magnitude_TE")
+        _, stable, diags, err = _evaluate_point(
+            record, 10.0, -1.0, "coupling_magnitude_TE")
         rows.append(axis_values
                     + (diags["coupling_mag_te_over_omega_m"], stable, err))
     return _figure_table(
@@ -127,8 +125,8 @@ def _output_rows(points, eps_of, om_of):
     for axis_values, record in points:
         eps = eps_of(axis_values)
         om = om_of(axis_values)
-        en, stable, _, err = _point(record, eps=eps, om=om,
-                                    target="EN_TE_mech_output")
+        en, stable, _, err = _evaluate_point(record, eps, om,
+                                             "EN_TE_mech_output")
         rows.append(axis_values + (en, stable, err))
     return rows
 
@@ -213,7 +211,8 @@ def _fig4d():
                       [("delta_c_over_omega_m", deltas), ("q_cavity", qs)])
     rows = []
     for axis_values, record in points:
-        en, stable, _, err = _point(record, target="EN_TE_mech_intracavity")
+        en, stable, _, err = _evaluate_point(
+            record, 10.0, -1.0, "EN_TE_mech_intracavity")
         rows.append(axis_values + (en, stable, err))
     return _figure_table(
         "fig4d", "Intracavity TE E_N over detuning and cavity quality "

@@ -1,16 +1,17 @@
 """Covariance matrix of filtered cavity output modes, by spectral quadrature.
 
-Each polarization's output field is projected onto a single causal filter
-mode (central frequency Omega, window length tau); the mechanical mode rides
-along unfiltered with its colored thermal noise N_m(omega). The stationary
-output covariance is the frequency integral of 2 Re h(w) over w >= 0, with
+Both polarizations' output fields are projected onto one causal filter mode
+(central frequency Omega, window length tau); the mechanical mode rides
+along unfiltered. The noise is the Markovian one of the Lyapunov route,
+diffusion_matrix: vacuum input kappa on each optical quadrature and the
+mirror bath gamma_m (2 n_m + 1) on p. The stationary output covariance is
+the frequency integral of 2 Re h(w) over w >= 0, with
 
-    h_ij(w) = sum_k d_k(w) y_ik(w) conj(y_jk(w)),    Y = T [M + P/(2 kappa)],
+    h_ij(w) = sum_k d_k y_ik(w) conj(y_jk(w)),    Y = T [M + P/(2 kappa)],
 
 M(w) = (i w + A)^(-1) the resolvent of the drift, P the optical projector,
-d = (kappa, kappa, kappa, kappa, 0, N_m(w)) the noise spectral densities,
-and T the filter's 2x2 quadrature blocks on the optical rows and a flat
-1/sqrt(2 pi) on the mechanical rows.
+d_k the diagonal of the diffusion matrix, and T the filter's 2x2 quadrature
+blocks on the optical rows and a flat 1/sqrt(2 pi) on the mechanical rows.
 
 The resolvent is written in closed form from the structure of
 assemble_drift. The optical block of i w + A is two identical 2x2 blocks
@@ -21,36 +22,39 @@ the Schur complement on (q, p) is the bare mechanical 2x2 block with one
 scalar sigma(w) = b^T Z_o^(-1) c subtracted from its (p, q) entry. Every
 entry of M is then a few length-N array operations on an entry-major
 (6, 6, N) stack. The same function serves the coupled drift, the
-zero-coupling reference, the mechanical reference block and the wide-band
-intracavity cross-check.
+zero-coupling reference and the wide-band intracavity cross-check.
 
-Numerically the integral is evaluated as a difference against a
-zero-coupling reference system sharing the same integrand structure: the
-reference optical output is filtered vacuum (exactly I/2 by filter
-normalization), and the reference mechanical block is a cheap dedicated 2x2
-quadrature. The difference integrand vanishes identically on decoupled
-blocks, so pure modes come out exactly pure instead of carrying quadrature
-truncation noise, and its high-frequency tail falls off two powers faster.
+Numerically the integral is evaluated as a difference against the
+zero-coupling reference system, whose covariance is known exactly: the
+filtered optical output is vacuum, I/2 by filter normalization, and the
+uncoupled Markovian oscillator is thermal, (n_m + 1/2) I. The difference
+integrand vanishes identically on decoupled blocks, so pure modes come out
+exactly pure instead of carrying quadrature truncation noise, and its
+high-frequency tail falls off two powers faster.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, K_BOLTZMANN
-from .dynamics import STABILITY_MARGIN, assemble_drift, drift_matrix, spectral_abscissa
+from .dynamics import (STABILITY_MARGIN, assemble_drift, diffusion_matrix,
+                       drift_matrix, spectral_abscissa)
 from .gaussian import validate_cm
 from .lyapunov import CovarianceMatrix, MODES
 from .params import _checked
 
 TWO_PI = 2.0 * math.pi
 
-# The colored mechanical momentum spectrum grows ~ gamma_m |w| at large
-# frequency, so its variance integral has a (physically cut off) logarithmic
-# tail; the reference window below fixes the convention. At Q_m = 1e5 the
-# sensitivity to this choice is ~1e-8 relative.
-_MECH_REFERENCE_WINDOW = 400.0
+# Quadrature settings. The window is at least _FREQ_CUTOFF mechanical
+# frequencies wide (and covers the filter main lobes); panels are doubled
+# at most _MAX_DOUBLINGS times until no entry of V moves by more than
+# _TOLERANCE of its largest entry (floor 1).
+_FREQ_CUTOFF = 40.0
+_TOLERANCE = 1e-9
+_MAX_DOUBLINGS = 6
+_GAUSS_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -85,30 +89,6 @@ class FilterSpec:
         return cls.from_epsilon(epsilon, -float(mech_freq), mech_freq)
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Quadrature controls for the output-field integral.
-
-    freq_cutoff: half-width of the integration window in units of omega_m
-    (the window also extends to cover the filter main lobes). tolerance:
-    convergence bound on the max entry change of V under one panel doubling,
-    relative to the largest entry of V (floor 1).
-    """
-
-    freq_cutoff: float = 40.0
-    tolerance: float = 1e-9
-    gauss_order: int = 12
-    max_doublings: int = 6
-
-    def __post_init__(self):
-        if self.freq_cutoff < 4:
-            raise ValueError("freq_cutoff must be at least 4 mechanical frequencies")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.gauss_order < 2 or self.max_doublings < 0:
-            raise ValueError("gauss_order must be >= 2 and max_doublings >= 0")
-
-
 def filter_fourier(spec, omega):
     """Fourier transform of the causal filter at angular frequency omega.
 
@@ -124,64 +104,23 @@ def filter_fourier(spec, omega):
     return out
 
 
-def mech_noise_psd(omega, dp, temperature):
-    """Colored mechanical noise density N_m(w) = (gamma_m w / omega_m) coth(hbar w / 2 kB T).
-
-    Dimensionless rate (units of gamma_m when w ~ omega_m); even in w. The
-    w -> 0 limit is 2 gamma_m kB T / (hbar omega_m); at T = 0 it reduces to
-    gamma_m |w| / omega_m. Near w = +-omega_m it approaches the Markovian
-    gamma_m (2 n_m + 1).
-    """
-    w_m = dp.mech_freq
-    beta_bar = (math.inf if temperature == 0.0
-                else HBAR * w_m / (2.0 * K_BOLTZMANN * temperature))
-    out = w_m * _colored_noise(np.asarray(omega, dtype=float) / w_m,
-                               dp.mech_damping / w_m, beta_bar)
-    if np.isscalar(omega):
-        return float(out)
-    return out
-
-
-def transfer_matrix(omega, a):
-    """Matrix inverse of (i omega I + A); omega and A in consistent units.
-
-    Raises numpy.linalg.LinAlgError at a singular point (marginal A with
-    omega on an undamped resonance).
-    """
-    a = np.asarray(a, dtype=float)
-    return np.linalg.inv(1j * float(omega) * np.eye(a.shape[0]) + a)
-
-
-def _check_filter(spec, mech_freq, label):
+def _check_filter(spec, mech_freq):
     eps = mech_freq * spec.filter_time
     if abs(eps - spec.epsilon) > 1e-9 * max(spec.epsilon, eps):
-        raise ValueError("%s filter: epsilon=%g inconsistent with "
-                         "omega_m * tau = %g" % (label, spec.epsilon, eps))
+        raise ValueError("filter: epsilon=%g inconsistent with "
+                         "omega_m * tau = %g" % (spec.epsilon, eps))
 
 
-def _beta_bar(thermal_occupancy):
-    """Dimensionless hbar omega_m / (2 kB T), recovered exactly from n_m."""
-    if thermal_occupancy == 0.0:
-        return math.inf
-    return 0.5 * math.log1p(1.0 / thermal_occupancy)
+@functools.cache
+def _gauss_rule():
+    # computed on first use: importing numpy.polynomial costs every import
+    # of the package a few ms, and only the quadrature needs it
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
-def _colored_noise(w, gamma_bar, beta_bar):
-    """N_m(w) = gamma_bar w coth(beta_bar w), everything in omega_m units.
-
-    beta_bar = hbar omega_m / (2 kB T) is inf at T = 0, where N_m reduces to
-    gamma_bar |w|; at w = 0 the finite-T limit is gamma_bar / beta_bar.
-    """
-    if math.isinf(beta_bar):
-        return gamma_bar * np.abs(w)
-    x = beta_bar * w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(x == 0.0, gamma_bar / beta_bar, gamma_bar * w / np.tanh(x))
-
-
-def _gauss_panels(edges, order):
+def _gauss_panels(edges):
     """Gauss-Legendre nodes/weights on each panel of a sorted edge array."""
-    x, wt = np.polynomial.legendre.leggauss(order)
+    x, wt = _gauss_rule()
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     nodes = (0.5 * (b - a) * x[None, :] + 0.5 * (b + a)).ravel()
@@ -310,25 +249,31 @@ def _gram(y, weights):
     return np.moveaxis(h, 2, 0)
 
 
-def _difference_integrand(w, a, a_ref, kappa_bar, gamma_bar, beta_bar,
-                          spec_te, spec_tm):
+def _noise_weights(d):
+    """The nonzero diagonal entries of a diffusion matrix, by column."""
+    return {k: float(d[k, k]) for k in range(d.shape[0]) if d[k, k]}
+
+
+def _difference_integrand(w, a, a_ref, d, spec):
     """Realified integrand of (full - reference), stacked over w >= 0.
 
-    The integrand is Hermitian with H(-w) = conj(H(w)), so folding the
-    negative-frequency half gives 2 Re H; the result is manifestly real and
-    symmetric.
+    d is the diffusion matrix; its optical entries are the cavity decay
+    kappa, which also sets the input-output relation a_out = sqrt(2 kappa)
+    a - a_in. The integrand is Hermitian with H(-w) = conj(H(w)), so
+    folding the negative-frequency half gives 2 Re H; the result is
+    manifestly real and symmetric.
     """
+    kappa_bar = d[0, 0]
     sq = math.sqrt(2.0 * kappa_bar)
-    blocks = [(o, *_filter_blocks(w, spec)) for o, spec in ((0, spec_te), (2, spec_tm))]
-    weights = {k: kappa_bar for k in range(4)}
-    weights[5] = _colored_noise(w, gamma_bar, beta_bar)
+    fx, fy = _filter_blocks(w, spec)
+    weights = _noise_weights(d)
 
     def output_gram(drift):
         x = _resolvent(w, drift)
         for i in range(4):
             x[i, i] += 0.5 / kappa_bar
         y = np.empty_like(x)
-        for o, fx, fy in blocks:
+        for o in (0, 2):
             y[o] = sq * (fx * x[o] - fy * x[o + 1])
             y[o + 1] = sq * (fy * x[o] + fx * x[o + 1])
         y[4:] = x[4:] / math.sqrt(TWO_PI)
@@ -337,24 +282,24 @@ def _difference_integrand(w, a, a_ref, kappa_bar, gamma_bar, beta_bar,
     return 2.0 * (output_gram(a) - output_gram(a_ref))
 
 
-def _converge_panels(edges, order, evaluate, tolerance, max_doublings):
+def _converge_panels(edges, evaluate):
     """Integrate evaluate(w) with panel doubling until entries stop moving.
 
     Returns (value, achieved_change); raises ArithmeticError on the first
-    non-finite value, and when doubling max_doublings times still moves
-    some entry beyond tolerance.
+    non-finite value, and when doubling _MAX_DOUBLINGS times still moves
+    some entry beyond _TOLERANCE.
     """
     prev = None
     change = math.inf
-    for _ in range(max_doublings + 1):
-        nodes, weights = _gauss_panels(edges, order)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        nodes, weights = _gauss_panels(edges)
         val = np.einsum("i,ijk->jk", weights, evaluate(nodes))
         if not np.all(np.isfinite(val)):
             raise ArithmeticError("non-finite output quadrature value on %d "
                                   "nodes" % len(nodes))
         if prev is not None:
             change = float(np.max(np.abs(val - prev)))
-            if change < tolerance * max(1.0, float(np.max(np.abs(val)))):
+            if change < _TOLERANCE * max(1.0, float(np.max(np.abs(val)))):
                 return val, change
         prev = val
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
@@ -362,83 +307,59 @@ def _converge_panels(edges, order, evaluate, tolerance, max_doublings):
                           "doubling still moved entries by %g" % change)
 
 
-def _mech_reference_cm(a_ref, gamma_bar, beta_bar, cfg):
-    """Stationary 2x2 mechanical covariance of the uncoupled colored model."""
-    width = max(cfg.freq_cutoff, _MECH_REFERENCE_WINDOW)
-    edges = _graded_edges([(1.0, max(gamma_bar / 2.0, 1e-7))], width)
-
-    def evaluate(w):
-        m = _resolvent(w, a_ref)[4:, 4:]
-        return 2.0 * _gram(m, {1: _colored_noise(w, gamma_bar, beta_bar)}) / TWO_PI
-
-    val, _ = _converge_panels(edges, max(cfg.gauss_order, 16), evaluate,
-                              cfg.tolerance, cfg.max_doublings)
-    return val
-
-
 def _scaled_setup(ss, dp):
+    """Coupled drift, zero-coupling reference drift and diffusion, omega_m units."""
     w = dp.mech_freq
     a = drift_matrix(ss, dp)
-    kappa_bar = dp.cavity_decay / w
-    gamma_bar = dp.mech_damping / w
-    a_ref = assemble_drift(kappa_bar, ss.detuning / w, 0.0, 0.0, gamma_bar)
-    return a, a_ref, kappa_bar, gamma_bar, _beta_bar(dp.thermal_occupancy)
+    a_ref = assemble_drift(dp.cavity_decay / w, ss.detuning / w, 0.0, 0.0,
+                           dp.mech_damping / w)
+    return a, a_ref, diffusion_matrix(dp)
 
 
-def _window(cfg, kappa_bar, specs):
-    lobe = max(abs(s.central_freq) + 60.0 * math.pi / s.epsilon for s in specs)
-    return max(cfg.freq_cutoff, lobe, 3.0 + 20.0 * kappa_bar)
-
-
-def _output_problem(ss, dp, spec_te, spec_tm, cfg):
+def _output_problem(ss, dp, spec):
     """Scaled drifts, difference integrand and initial panel edges.
 
     Everything runs in omega_m units (tau -> epsilon). output_cm integrates
     exactly this integrand from exactly these edges; dump_integrand samples
-    it there. Returns (a, a_ref, gamma_bar, beta_bar, evaluate, edges).
+    it there. Returns (a, evaluate, edges).
     """
     w_m = dp.mech_freq
-    _check_filter(spec_te, w_m, "TE")
-    _check_filter(spec_tm, w_m, "TM")
-    a, a_ref, kappa_bar, gamma_bar, beta_bar = _scaled_setup(ss, dp)
-    te = FilterSpec(spec_te.central_freq / w_m, spec_te.epsilon, spec_te.epsilon)
-    tm = FilterSpec(spec_tm.central_freq / w_m, spec_tm.epsilon, spec_tm.epsilon)
+    _check_filter(spec, w_m)
+    a, a_ref, d = _scaled_setup(ss, dp)
+    scaled = FilterSpec(spec.central_freq / w_m, spec.epsilon, spec.epsilon)
+    omega = abs(scaled.central_freq)
     features = _eigen_features(a) + _eigen_features(a_ref)
-    features += [(abs(te.central_freq), TWO_PI / te.epsilon),
-                 (abs(tm.central_freq), TWO_PI / tm.epsilon),
-                 (1.0, 1e-6)]
-    edges = _graded_edges(features, _window(cfg, kappa_bar, (te, tm)))
+    features += [(omega, TWO_PI / scaled.epsilon), (1.0, 1e-6)]
+    width = max(_FREQ_CUTOFF, omega + 60.0 * math.pi / scaled.epsilon,
+                3.0 + 20.0 * d[0, 0])
+    edges = _graded_edges(features, width)
 
     def evaluate(w):
-        return _difference_integrand(w, a, a_ref, kappa_bar, gamma_bar,
-                                     beta_bar, te, tm)
+        return _difference_integrand(w, a, a_ref, d, scaled)
 
-    return a, a_ref, gamma_bar, beta_bar, evaluate, edges
+    return a, evaluate, edges
 
 
-def output_cm(ss, dp, spec_te, spec_tm, cfg=None):
+def output_cm(ss, dp, spec):
     """Stationary covariance of (filtered TE out, filtered TM out, mechanics).
 
-    Basis (X_te_out, Y_te_out, X_tm_out, Y_tm_out, q, p), vacuum variance
-    1/2. The system must be stable; the result is checked for physicality
-    and an unphysical matrix is a hard error (it would indicate a broken
-    sign convention, not a tolerance issue).
+    Both polarizations are read through the one filter spec. Basis
+    (X_te_out, Y_te_out, X_tm_out, Y_tm_out, q, p), vacuum variance 1/2.
+    The system must be stable; the result is checked for physicality and
+    an unphysical matrix is a hard error (it would indicate a broken sign
+    convention, not a tolerance issue).
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
-    a, a_ref, gamma_bar, beta_bar, evaluate, edges = _output_problem(
-        ss, dp, spec_te, spec_tm, cfg)
+    a, evaluate, edges = _output_problem(ss, dp, spec)
     if spectral_abscissa(a) >= -STABILITY_MARGIN:
         raise ValueError("cannot form the stationary output of an unstable system")
 
-    diff, _ = _converge_panels(edges, cfg.gauss_order, evaluate,
-                               cfg.tolerance, cfg.max_doublings)
+    diff, _ = _converge_panels(edges, evaluate)
 
-    reference = np.zeros((6, 6))
-    for i in range(4):
-        reference[i, i] = 0.5  # filtered vacuum, exact by filter normalization
-    reference[4:, 4:] = _mech_reference_cm(a_ref, gamma_bar, beta_bar, cfg)
-    v = diff + reference
+    # the reference: filtered vacuum, exact by filter normalization, and the
+    # uncoupled Markovian oscillator, whose A V + V A^T = -D gives V_qp = 0
+    # and V_qq = V_pp = n_m + 1/2
+    thermal = dp.thermal_occupancy + 0.5
+    v = diff + np.diag([0.5, 0.5, 0.5, 0.5, thermal, thermal])
 
     asym = float(np.max(np.abs(v - v.T)))
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
@@ -453,43 +374,36 @@ def output_cm(ss, dp, spec_te, spec_tm, cfg=None):
     return CovarianceMatrix(v, modes=MODES)
 
 
-def intracavity_cm_spectral(ss, dp, cfg=None):
+def intracavity_cm_spectral(ss, dp):
     """Intracavity covariance by wide-band Markovian spectral integration.
 
-    No filters, constant mechanical noise gamma_m (2 n_m + 1): this is the
-    Parseval equivalent of the Lyapunov solution and must reproduce it. The
+    No filters and the same diffusion as output_cm: this is the Parseval
+    equivalent of the Lyapunov solution and must reproduce it. The
     neglected tail beyond the window is added in closed form as D / (pi W).
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
-    a, _, kappa_bar, gamma_bar, _ = _scaled_setup(ss, dp)
+    a, _, d = _scaled_setup(ss, dp)
     if spectral_abscissa(a) >= -STABILITY_MARGIN:
         raise ValueError("cannot form the stationary state of an unstable system")
-    noise = [kappa_bar] * 4 + [0.0, gamma_bar * (2.0 * dp.thermal_occupancy + 1.0)]
-    weights = {k: d for k, d in enumerate(noise) if d}
-    width = cfg.freq_cutoff
-    edges = _graded_edges(_eigen_features(a), width)
+    weights = _noise_weights(d)
+    edges = _graded_edges(_eigen_features(a), _FREQ_CUTOFF)
 
     def evaluate(w):
         return 2.0 * _gram(_resolvent(w, a), weights) / TWO_PI
 
-    val, _ = _converge_panels(edges, cfg.gauss_order, evaluate,
-                              cfg.tolerance, cfg.max_doublings)
-    v = val + np.diag(noise) / (math.pi * width)
+    val, _ = _converge_panels(edges, evaluate)
+    v = val + d / (math.pi * _FREQ_CUTOFF)
     v = 0.5 * (v + v.T)
     return CovarianceMatrix(v, modes=MODES)
 
 
-def dump_integrand(path, ss, dp, spec_te, spec_tm, cfg=None):
+def dump_integrand(path, ss, dp, spec):
     """Write integrand samples (omega, 36 row-major entries) as delimited text.
 
     Diagnostic hook: the sampled quantity is the realified difference
     integrand actually used by output_cm, on its initial panel grid.
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
-    *_, evaluate, edges = _output_problem(ss, dp, spec_te, spec_tm, cfg)
-    nodes, _ = _gauss_panels(edges, cfg.gauss_order)
+    *_, evaluate, edges = _output_problem(ss, dp, spec)
+    nodes, _ = _gauss_panels(edges)
     h = evaluate(nodes)
     with open(path, "w") as fh:
         fh.write("omega_over_omega_m," +

@@ -24,20 +24,20 @@ def intracavity_cm(params):
     return solve_lyapunov(dd.drift, dd.diffusion), dp, ss
 
 
-def output_cm_at(params, epsilon, omega_over_omega_m, cfg=None):
-    """Filtered-output covariance with both polarizations sharing one filter.
+def output_cm_at(params, epsilon, omega_over_omega_m):
+    """Filtered-output covariance at the operating point of params.
 
-    Both output modes are read through the same (epsilon, Omega) window;
-    a per-polarization choice is available through output_cm directly.
+    Both output modes are read through one filter: window length
+    tau = epsilon / omega_m, centered on Omega = omega_over_omega_m * omega_m.
     """
     dp, ss = operating_point(params)
     spec = FilterSpec.from_epsilon(epsilon, omega_over_omega_m * dp.mech_freq,
                                    dp.mech_freq)
-    return output_cm(ss, dp, spec, spec, cfg=cfg), dp, ss
+    return output_cm(ss, dp, spec), dp, ss
 
 
 def entanglement(params, pair=("te", "mech"), where="intracavity",
-                 epsilon=10.0, omega_over_omega_m=-1.0, cfg=None):
+                 epsilon=10.0, omega_over_omega_m=-1.0):
     """Logarithmic negativity of one mode pair, intracavity or at the output."""
     if tuple(pair) not in PAIRS:
         raise ValueError("unknown mode pair %r; expected one of %r"
@@ -45,7 +45,7 @@ def entanglement(params, pair=("te", "mech"), where="intracavity",
     if where == "intracavity":
         v, _, _ = intracavity_cm(params)
     elif where == "output":
-        v, _, _ = output_cm_at(params, epsilon, omega_over_omega_m, cfg=cfg)
+        v, _, _ = output_cm_at(params, epsilon, omega_over_omega_m)
     else:
         raise ValueError("where must be 'intracavity' or 'output', got %r" % where)
     return log_negativity(reduce_bipartite(v, pair))

@@ -39,13 +39,6 @@ class SteadyState:
     root_count: int = 1    # number of distinct real roots of the cubic
 
 
-def effective_couplings(ss, single_photon_coupling):
-    """Effective linearized couplings G_j = sqrt(2) g0 alpha_j (rad/s)."""
-    g0 = float(single_photon_coupling)
-    return (math.sqrt(2.0) * g0 * ss.alpha_te,
-            math.sqrt(2.0) * g0 * ss.alpha_tm)
-
-
 def _cubic_real_roots(delta_c, kappa, rhs):
     """Real roots of x[(delta_c - x)^2 + kappa^2] = rhs, ascending.
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own solution paths:
 the Lyapunov oracles integrate the propagator in the time domain, run
 scipy's Bartels-Stewart (real Schur) solver, or solve the Kronecker system
-at 50 digits; the covariance generator builds matrices from a Williamson
-normal form.
+at 50 digits; the filtered output is propagated over its window in the time
+domain; the covariance generator builds matrices from a Williamson normal
+form.
 """
 
 import math
@@ -135,6 +136,16 @@ def kron_lyapunov_mp(a, d, dps=50):
                               for i in range(n)])
 
 
+def transfer_matrix(omega, a):
+    """Matrix inverse of (i omega I + A); omega and A in consistent units.
+
+    Raises numpy.linalg.LinAlgError at a singular point (marginal A with
+    omega on an undamped resonance).
+    """
+    a = np.asarray(a, dtype=float)
+    return np.linalg.inv(1j * float(omega) * np.eye(a.shape[0]) + a)
+
+
 def resolvent_mp(omega, a, dps=50):
     """(i omega I + A)^(-1) LU-inverted in dps-digit arithmetic (mpmath).
 
@@ -154,35 +165,30 @@ def resolvent_mp(omega, a, dps=50):
                          for i in range(n)])
 
 
-def output_integrand_matrix_form(w, a, a_ref, kappa_bar, gamma_bar,
-                                 beta_bar, spec_te, spec_tm):
+def output_integrand_matrix_form(w, a, a_ref, d, spec):
     """Filtered-output difference integrand built as explicit 6x6 products.
 
     2 Re [T X D X^H T^H (full) - the same (reference)] per node, with
     X = (i w + A)^(-1) + P / (2 kappa) from numpy's inverse, T the filter
-    transform as a full matrix, and D = diag(kappa x4, 0, N_m(w)) with
-    N_m = gamma_bar w coth(beta_bar w). Everything in omega_m units on
-    w > 0, as (len(w), 6, 6).
+    transform as a full matrix (the one filter on both polarizations), and
+    D the diffusion matrix, whose optical entries are kappa. Everything in
+    omega_m units on w > 0, as (len(w), 6, 6).
     """
     from polaromech import filter_fourier
 
     w = np.asarray(w, dtype=float)
     n = w.size
+    kappa_bar = d[0, 0]
     t = np.zeros((n, 6, 6), dtype=complex)
     sq = math.sqrt(2.0 * kappa_bar)
-    for o, spec in ((0, spec_te), (2, spec_tm)):
-        gp = filter_fourier(spec, w)
-        gm = np.conj(filter_fourier(spec, -w))
-        fx, fy = 0.5 * (gp + gm), (gp - gm) / 2j
+    gp = filter_fourier(spec, w)
+    gm = np.conj(filter_fourier(spec, -w))
+    fx, fy = 0.5 * (gp + gm), (gp - gm) / 2j
+    for o in (0, 2):
         t[:, o, o] = t[:, o + 1, o + 1] = sq * fx
         t[:, o, o + 1] = -sq * fy
         t[:, o + 1, o] = sq * fy
     t[:, 4, 4] = t[:, 5, 5] = 1.0 / math.sqrt(2.0 * math.pi)
-    d = np.zeros((n, 6, 6))
-    for i in range(4):
-        d[:, i, i] = kappa_bar
-    d[:, 5, 5] = (gamma_bar * w if math.isinf(beta_bar)
-                  else gamma_bar * w / np.tanh(beta_bar * w))
     proj = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]) / (2.0 * kappa_bar)
 
     def h(drift):
@@ -191,6 +197,50 @@ def output_integrand_matrix_form(w, a, a_ref, kappa_bar, gamma_bar,
         return y @ d @ np.conj(np.swapaxes(y, 1, 2))
 
     return 2.0 * np.real(h(a) - h(a_ref))
+
+
+def van_loan_output_cm(a, d, epsilon, omega):
+    """Covariance of (filtered TE out, filtered TM out, mechanics), in time.
+
+    a and d are the drift and diffusion in omega_m units, basis
+    (X_te, Y_te, X_tm, Y_tm, q, p); epsilon = omega_m tau and omega =
+    Omega / omega_m. Each filtered mode is
+
+        b(t) = tau^(-1/2) int_{t - tau}^t e^(-i Omega (t - s)) a_out(s) ds,
+
+    a_out = sqrt(2 kappa) a - a_in with kappa = d[0, 0]. Over the window b
+    starts at 0 and obeys b' = -i Omega b + a_out / sqrt(tau), so the state
+    z = (x, X_b_te, Y_b_te, X_b_tm, Y_b_tm) is linear with drift A_z and
+    white noise of rate Q = G D G^T, where G = (I; -P / sqrt(2 kappa tau))
+    carries the input a_in = xi / sqrt(2 kappa) into the filters. Its
+    covariance solves S' = A_z S + S A_z^T + Q from S(0) = (V, 0), V the
+    stationary intracavity covariance. With vec(S) and a constant 1 stacked,
+    this is linear and autonomous, so one Van Loan block exponential of
+    [[A_z (+) A_z, vec Q], [0, 0]] over the window gives S(tau) exactly;
+    the Kronecker sum has no growing mode, so nothing overflows.
+    """
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    kappa = d[0, 0]
+    proj = np.hstack([np.eye(4), np.zeros((4, 2))])
+    az = np.zeros((10, 10))
+    az[:6, :6] = a
+    az[6:, :6] = math.sqrt(2.0 * kappa / epsilon) * proj
+    for k in (6, 8):
+        az[k, k + 1] = omega
+        az[k + 1, k] = -omega
+    g = np.vstack([np.eye(6), -proj / math.sqrt(2.0 * kappa * epsilon)])
+    q = g @ d @ g.T
+    n = az.shape[0]
+    gen = np.zeros((n * n + 1, n * n + 1))
+    gen[:-1, :-1] = np.kron(az, np.eye(n)) + np.kron(np.eye(n), az)
+    gen[:-1, -1] = q.ravel()
+    s0 = np.zeros((n, n))
+    s0[:6, :6] = bartels_stewart_lyapunov(a, d)
+    s = (expm(gen * epsilon) @ np.append(s0.ravel(), 1.0))[:-1].reshape(n, n)
+    keep = [6, 7, 8, 9, 4, 5]
+    s = s[np.ix_(keep, keep)]
+    return 0.5 * (s + s.T)
 
 
 def log_negativity_mp(v, idx, dps=50):

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 from goldens import golden_params
-from oracles import output_integrand_matrix_form, resolvent_mp
+from oracles import (output_integrand_matrix_form, resolvent_mp,
+                     transfer_matrix, van_loan_output_cm)
 
-from polaromech import (FilterSpec, IntegrationConfig, SteadyState,
-                        derive_constants, drift_matrix, dump_integrand,
+from polaromech import (FilterSpec, SteadyState, derive_constants,
+                        diffusion_matrix, drift_matrix, dump_integrand,
                         filter_fourier, intracavity_cm,
                         intracavity_cm_spectral, log_negativity,
-                        mech_noise_psd, operating_point, output_cm,
-                        output_cm_at, outputfield, paper_params,
-                        reduce_bipartite, solve_steady_state,
-                        spectral_abscissa, transfer_matrix, validate_cm)
+                        operating_point, output_cm, output_cm_at, outputfield,
+                        paper_params, reduce_bipartite, spectral_abscissa,
+                        validate_cm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,47 +65,6 @@ def test_filter_vectorized_matches_scalar():
     vec = filter_fourier(s, grid)
     for i, wv in enumerate(grid):
         assert vec[i] == filter_fourier(s, float(wv))
-
-
-# --- mechanical noise spectrum ---
-
-def test_mech_noise_markovian_at_resonance():
-    p, dp, _ = _baseline()
-    n = dp.thermal_occupancy
-    expect = dp.mech_damping * (2.0 * n + 1.0)
-    assert mech_noise_psd(dp.mech_freq, dp, p.temperature) == pytest.approx(
-        expect, rel=1e-12)
-    assert mech_noise_psd(-dp.mech_freq, dp, p.temperature) == pytest.approx(
-        expect, rel=1e-12)
-
-
-def test_mech_noise_zero_frequency_limit():
-    from polaromech import HBAR, K_BOLTZMANN
-    p, dp, _ = _baseline()
-    expect = 2.0 * dp.mech_damping * K_BOLTZMANN * p.temperature \
-        / (HBAR * dp.mech_freq)
-    assert mech_noise_psd(0.0, dp, p.temperature) == pytest.approx(expect, rel=1e-12)
-    # continuous approach to the limit
-    near = mech_noise_psd(1e-3 * dp.mech_freq, dp, p.temperature)
-    assert near == pytest.approx(expect, rel=1e-5)
-
-
-def test_mech_noise_zero_temperature():
-    _, dp, _ = _baseline()
-    w = 0.7 * dp.mech_freq
-    expect = dp.mech_damping * w / dp.mech_freq
-    assert mech_noise_psd(w, dp, 0.0) == pytest.approx(expect, rel=1e-14)
-    assert mech_noise_psd(-w, dp, 0.0) == pytest.approx(expect, rel=1e-14)
-    assert mech_noise_psd(0.0, dp, 0.0) == 0.0
-
-
-def test_mech_noise_even_and_increasing():
-    p, dp, _ = _baseline()
-    w = dp.mech_freq * np.array([0.3, 1.0, 2.5])
-    plus = mech_noise_psd(w, dp, p.temperature)
-    minus = mech_noise_psd(-w, dp, p.temperature)
-    assert np.allclose(plus, minus, rtol=1e-13)
-    assert plus[0] < plus[1] < plus[2]
 
 
 # --- transfer matrix ---
@@ -192,17 +151,18 @@ def test_resolvent_rejects_foreign_structure():
 
 
 def test_difference_integrand_matches_matrix_form():
-    # per-polarization filters, so the TE and TM rows see different blocks
-    te = FilterSpec(-1.0, 10.0, 10.0)
-    tm = FilterSpec(-0.4, 3.0, 3.0)
-    for over in ({}, {"polarization_angle": 0.7, "temperature": 0.0},
-                 {"optical_quality": 1e6, "cavity_detuning":
-                  0.6 * paper_params().mech_freq}):
+    for over, spec in (({}, FilterSpec(-1.0, 10.0, 10.0)),
+                       ({"polarization_angle": 0.7, "temperature": 0.0},
+                        FilterSpec(-0.4, 3.0, 3.0)),
+                       ({"optical_quality": 1e6, "cavity_detuning":
+                         0.6 * paper_params().mech_freq},
+                        FilterSpec(-1.0, 10.0, 10.0))):
         dp, ss = operating_point(paper_params(**over))
-        a, a_ref, kappa_bar, gamma_bar, beta_bar = outputfield._scaled_setup(ss, dp)
+        a, a_ref, d = outputfield._scaled_setup(ss, dp)
+        assert np.array_equal(d, diffusion_matrix(dp))
         resonances = np.abs(np.linalg.eigvals(a).imag)
         w = np.sort(np.concatenate([np.linspace(1e-3, 8.0, 400), resonances]))
-        args = (w, a, a_ref, kappa_bar, gamma_bar, beta_bar, te, tm)
+        args = (w, a, a_ref, d, spec)
         h = outputfield._difference_integrand(*args)
         oracle = output_integrand_matrix_form(*args)
         assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -216,7 +176,7 @@ def test_output_cm_uses_no_matrix_inverse(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
-    assert validate_cm(output_cm(ss, dp, spec, spec)).physical
+    assert validate_cm(output_cm(ss, dp, spec)).physical
 
 
 # --- output covariance ---
@@ -228,7 +188,7 @@ def test_output_decoupled_optical_blocks_exact_vacuum():
                       detuning=p.cavity_detuning, coupling_te=0j,
                       coupling_tm=0j)
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
-    v = np.asarray(output_cm(ss0, dp, spec, spec))
+    v = np.asarray(output_cm(ss0, dp, spec))
     assert np.array_equal(v[:4, :4], 0.5 * np.eye(4))
     assert np.all(v[:4, 4:] == 0.0)
     # mechanics stays thermal
@@ -240,7 +200,7 @@ def test_output_undriven_tm_block_exact_vacuum():
     # theta = 0 leaves TM undriven; its filtered output block is pure vacuum
     p, dp, ss = _baseline()
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
-    v = np.asarray(output_cm(ss, dp, spec, spec))
+    v = np.asarray(output_cm(ss, dp, spec))
     assert np.array_equal(v[2:4, 2:4], 0.5 * np.eye(2))
     assert np.all(v[2:4, :2] == 0.0) and np.all(v[2:4, 4:] == 0.0)
 
@@ -250,9 +210,36 @@ def test_output_undriven_te_block_exact_vacuum():
     p = paper_params(polarization_angle=math.pi / 2)
     dp, ss = operating_point(p)
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
-    v = np.asarray(output_cm(ss, dp, spec, spec))
+    v = np.asarray(output_cm(ss, dp, spec))
     assert np.array_equal(v[:2, :2], 0.5 * np.eye(2))
     assert np.all(v[:2, 2:] == 0.0)
+
+
+def _van_loan_points():
+    """(overrides, epsilon, Omega/omega_m): each base point meets every
+    epsilon and every Omega once, and the fifteen together cover all nine
+    (epsilon, Omega) pairs."""
+    theta = float(np.random.default_rng(17).uniform(0.0, math.pi / 2))
+    w = paper_params().mech_freq
+    bases = ({"polarization_angle": 0.0},
+             {"polarization_angle": math.pi / 2},
+             {"polarization_angle": theta},
+             {"polarization_angle": theta, "temperature": 0.0},
+             {"polarization_angle": theta, "optical_quality": 1e6,
+              "cavity_detuning": 0.6 * w})
+    epsilons, omegas = (1.0, 10.0, 20.0), (-1.0, -0.5, 0.0)
+    return [(over, eps, omegas[(i + j) % 3])
+            for i, over in enumerate(bases) for j, eps in enumerate(epsilons)]
+
+
+def test_output_cm_matches_van_loan_oracle():
+    # the quadrature against an exact time-domain propagation over the
+    # filter window with the same Markovian bath
+    for over, eps, om in _van_loan_points():
+        v, dp, ss = output_cm_at(paper_params(**over), eps, om)
+        exact = van_loan_output_cm(drift_matrix(ss, dp), diffusion_matrix(dp),
+                                   eps, om)
+        assert np.abs(np.asarray(v) - exact).max() <= 1e-6 * np.abs(exact).max()
 
 
 def test_output_entanglement_epsilon_scan():
@@ -292,24 +279,12 @@ def test_output_cm_is_physical():
     assert np.asarray(v).shape == (6, 6)
 
 
-def test_per_polarization_filters():
-    # TE on the Stokes sideband, TM elsewhere: TE-mech entanglement persists
-    p, dp, ss = _baseline(golden_params)
-    w = dp.mech_freq
-    spec_te = FilterSpec.stokes(10.0, w)
-    spec_tm = FilterSpec.from_epsilon(4.0, 0.3 * w, w)
-    v = output_cm(ss, dp, spec_te, spec_tm)
-    en = log_negativity(reduce_bipartite(v, ("te", "mech")))
-    assert en > 0.3
-
-
 def test_inconsistent_epsilon_rejected():
     p, dp, ss = _baseline()
     bad = FilterSpec(central_freq=-dp.mech_freq,
                      filter_time=10.0 / dp.mech_freq, epsilon=11.0)
-    good = FilterSpec.stokes(10.0, dp.mech_freq)
     with pytest.raises(ValueError):
-        output_cm(ss, dp, bad, good)
+        output_cm(ss, dp, bad)
 
 
 def test_unstable_point_rejected():
@@ -321,24 +296,16 @@ def test_unstable_point_rejected():
                      coupling_te=0.45 * p.mech_freq + 0j, coupling_tm=0j)
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
     with pytest.raises(ValueError):
-        output_cm(ss, dp, spec, spec)
+        output_cm(ss, dp, spec)
 
 
-def test_integration_config_validation():
-    with pytest.raises(ValueError):
-        IntegrationConfig(freq_cutoff=3.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(gauss_order=1)
-
-
-def test_nonconvergence_raises_with_achieved_change():
+def test_nonconvergence_raises_with_achieved_change(monkeypatch):
     p, dp, ss = _baseline()
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
-    cfg = IntegrationConfig(tolerance=1e-30, max_doublings=1)
+    monkeypatch.setattr(outputfield, "_TOLERANCE", 1e-30)
+    monkeypatch.setattr(outputfield, "_MAX_DOUBLINGS", 1)
     with pytest.raises(ArithmeticError) as err:
-        output_cm(ss, dp, spec, spec, cfg=cfg)
+        output_cm(ss, dp, spec)
     assert "did not converge" in str(err.value)
     assert "moved entries by" in str(err.value)
 
@@ -354,7 +321,7 @@ def test_nonfinite_integrand_stops_on_first_pass(monkeypatch):
 
     monkeypatch.setattr(outputfield, "_difference_integrand", nan_integrand)
     with pytest.raises(ArithmeticError, match="non-finite"):
-        output_cm(ss, dp, spec, spec)
+        output_cm(ss, dp, spec)
     assert len(passes) == 1
 
 
@@ -377,7 +344,7 @@ def test_dump_integrand(tmp_path):
     p, dp, ss = _baseline()
     spec = FilterSpec.stokes(2.0, dp.mech_freq)
     path = tmp_path / "integrand.csv"
-    dump_integrand(path, ss, dp, spec, spec)
+    dump_integrand(path, ss, dp, spec)
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "omega_over_omega_m"
@@ -400,10 +367,10 @@ def test_dump_samples_output_cm_first_pass(tmp_path, monkeypatch):
         return h
 
     monkeypatch.setattr(outputfield, "_difference_integrand", spy)
-    output_cm(ss, dp, spec, spec)
+    output_cm(ss, dp, spec)
     nodes, h = passes[0]
     path = tmp_path / "integrand.csv"
-    dump_integrand(path, ss, dp, spec, spec)
+    dump_integrand(path, ss, dp, spec)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], nodes)
     assert np.array_equal(data[:, 1:], np.asarray(h).reshape(len(nodes), 36))

@@ -5,7 +5,7 @@ import pytest
 from goldens import golden_params
 
 from polaromech import (UnstableOperatingPointError, assemble_drift,
-                        derive_constants, effective_couplings, paper_params,
+                        derive_constants, paper_params,
                         polarization_split, solve_steady_state,
                         spectral_abscissa)
 
@@ -56,11 +56,8 @@ def test_displacement_equation_self_consistent():
 
 def test_effective_couplings():
     p, dp, ss = _solve(golden_params)
-    gte, gtm = effective_couplings(ss, p.single_photon_coupling)
-    assert gte == ss.coupling_te
-    assert gtm == ss.coupling_tm
-    assert gte == pytest.approx(math.sqrt(2) * p.single_photon_coupling
-                                * ss.alpha_te, rel=1e-14)
+    assert ss.coupling_te == pytest.approx(math.sqrt(2) * p.single_photon_coupling
+                                           * ss.alpha_te, rel=1e-14)
     assert abs(ss.coupling_te) / p.mech_freq == pytest.approx(
         0.44675629898125484, rel=1e-10)
     assert ss.coupling_tm == 0.0
