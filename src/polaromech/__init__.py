@@ -22,9 +22,8 @@ from .gaussian import (BipartiteCM, PhysicalityReport, log_negativity,
                        reduce_bipartite, symplectic_eigenvalues,
                        symplectic_form, validate_cm)
 from .lyapunov import (CovarianceMatrix, LyapunovError, lyapunov_residual,
-                       solve_lyapunov, write_debug_dump)
-from .outputfield import (FilterSpec, dump_integrand, filter_fourier,
-                          intracavity_cm_spectral, output_cm)
+                       solve_lyapunov)
+from .outputfield import FilterSpec, filter_fourier, output_cm
 from .params import (DerivedParams, ParameterError, SystemParams,
                      derive_constants, mean_phonon_number, polarization_split)
 from .pipeline import (entanglement, intracavity_cm, operating_point,
@@ -45,8 +44,8 @@ __all__ = [
     "SweepSpec", "SystemParams", "TARGETS", "UnstableOperatingPointError",
     "assemble_drift", "build_params", "characteristic_polynomial",
     "derive_constants", "diffusion_matrix", "drift_diffusion",
-    "drift_matrix", "dump_integrand", "entanglement", "filter_fourier",
-    "intracavity_cm", "intracavity_cm_spectral", "is_stable_eigen",
+    "drift_matrix", "entanglement", "filter_fourier",
+    "intracavity_cm", "is_stable_eigen",
     "is_stable_routh_hurwitz", "log_negativity", "lyapunov_residual",
     "mean_phonon_number", "min_symplectic_pt",
     "min_symplectic_pt_spectral", "operating_point", "output_cm",
@@ -54,5 +53,5 @@ __all__ = [
     "polarization_split", "reduce_bipartite", "reproduce_figure",
     "run_sweep", "solve_lyapunov", "solve_steady_state",
     "spectral_abscissa", "symplectic_eigenvalues", "symplectic_form",
-    "validate_cm", "write_debug_dump",
+    "validate_cm",
 ]

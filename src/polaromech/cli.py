@@ -19,7 +19,7 @@ from .figures import FIGURES, reproduce_figure
 from .gaussian import (log_negativity, min_symplectic_pt,
                        min_symplectic_pt_spectral, reduce_bipartite,
                        validate_cm)
-from .lyapunov import LyapunovError, lyapunov_residual, solve_lyapunov
+from .lyapunov import LyapunovError, lyapunov_residual
 from .params import ParameterError
 from .pipeline import intracavity_cm, operating_point, output_cm_at
 from .steadystate import UnstableOperatingPointError
@@ -191,8 +191,10 @@ def _cmd_figure(args):
 
 
 def _cmd_validate(args):
+    # the covariance entangle returns, rotated from the 4x4 bright-mode
+    # solve, is checked in the full 6x6 model
     params = _load_params(args)
-    dp, ss = operating_point(params)
+    v, dp, ss = intracavity_cm(params)
     dd = drift_diffusion(ss, dp)
     checks = []
 
@@ -200,7 +202,6 @@ def _cmd_validate(args):
     rh = is_stable_routh_hurwitz(dd.drift)
     checks.append(("stability routes agree",
                    rh is not None and rh == (abscissa < -1e-10)))
-    v = solve_lyapunov(dd.drift, dd.diffusion)
     res = lyapunov_residual(dd.drift, dd.diffusion, np.asarray(v))
     checks.append(("lyapunov residual < 1e-9", res < 1e-9))
     report = validate_cm(v)

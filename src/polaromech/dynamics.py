@@ -7,6 +7,13 @@ Quadrature basis, fixed everywhere in this package:
 with vacuum variance 1/2. Matrices are assembled in units of the mechanical
 frequency (all rates divided by omega_m); the covariance matrix solved from
 them is invariant under that common rescaling.
+
+The two modes share one cavity denominator, so G_te = G cos(theta) and
+G_tm = G sin(theta): the mechanics couples only to the bright mode
+b = cos(theta) a_te + sin(theta) a_tm, and the dark mode stays in vacuum.
+The evaluation routes solve the 4x4 system (dX_b, dY_b, dq, dp) of
+bright_drift_diffusion and rotate the result to TE/TM; the 6x6
+drift_matrix is the model's definition, against which that is checked.
 """
 
 from dataclasses import dataclass
@@ -24,8 +31,8 @@ STABILITY_MARGIN = 1e-10
 class DriftDiffusion:
     """Drift matrix A and diffusion matrix D, in omega_m units."""
 
-    drift: np.ndarray       # 6x6 real
-    diffusion: np.ndarray   # 6x6 real diagonal
+    drift: np.ndarray       # 6x6 real, or 4x4 for the bright-mode system
+    diffusion: np.ndarray   # real diagonal, same shape
 
 
 def assemble_drift(cavity_decay, detuning, coupling_te, coupling_tm,
@@ -50,6 +57,22 @@ def assemble_drift(cavity_decay, detuning, coupling_te, coupling_tm,
     ])
 
 
+# (X_b, Y_b, q, p) inside the 6x6 basis, where the bright mode is TE when
+# all of the drive is in TE
+_BRIGHT = np.ix_((0, 1, 4, 5), (0, 1, 4, 5))
+
+
+def assemble_bright_drift(cavity_decay, detuning, coupling, mech_damping,
+                          mech_freq=1.0):
+    """Build the 4x4 drift of (X_b, Y_b, q, p) from scalar rates.
+
+    It is assemble_drift with the whole coupling on TE and the undriven TM
+    rows and columns dropped, so the two share one formula.
+    """
+    return assemble_drift(cavity_decay, detuning, coupling, 0.0,
+                          mech_damping, mech_freq)[_BRIGHT]
+
+
 def drift_matrix(ss, dp):
     """Drift matrix for a solved steady state, in omega_m units.
 
@@ -71,6 +94,18 @@ def diffusion_matrix(dp):
 
 def drift_diffusion(ss, dp):
     return DriftDiffusion(drift=drift_matrix(ss, dp), diffusion=diffusion_matrix(dp))
+
+
+def bright_drift_diffusion(ss, dp):
+    """Drift and diffusion of (X_b, Y_b, q, p), 4x4, in omega_m units.
+
+    The optical diffusion is isotropic, so the rotation to the bright/dark
+    frame leaves it diagonal: Diag[k, k, 0, gamma_m (2 n_m + 1)].
+    """
+    w = dp.mech_freq
+    drift = assemble_bright_drift(dp.cavity_decay / w, ss.detuning / w,
+                                  ss.coupling / w, dp.mech_damping / w)
+    return DriftDiffusion(drift=drift, diffusion=diffusion_matrix(dp)[_BRIGHT])
 
 
 def spectral_abscissa(a):

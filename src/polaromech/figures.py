@@ -4,7 +4,7 @@ Each figure id maps to a deterministic grid evaluation returning a
 ResultTable; rerunning a figure writes byte-identical output. Grid
 densities balance plot smoothness against runtime. Measured on one core
 of a 2-core Linux VM: intracavity points cost about 1 ms; filtered-output
-points cost 30-40 ms (fig4b: 1681 points in 64 s) and up to about 0.5 s
+points cost about 10 ms (fig4b: 1681 points in 18 s) and up to about 0.2 s
 where the quadrature needs ~90k nodes (Q_c = 1e6, T = 20 mK).
 
 All grids start from the baseline parameter set and state their deviations

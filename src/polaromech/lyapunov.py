@@ -3,7 +3,8 @@
 For a stable drift matrix A and diffusion matrix D, the stationary
 covariance V solves A V + V A^T = -D. It is solved as one dense linear
 system in the Kronecker form (A (x) I + I (x) A) vec V = -vec D: for the
-6x6 drifts of this model that is 36 unknowns, a small LU solve in numpy.
+4x4 bright-mode drifts of this model that is 16 unknowns, a small LU solve
+in numpy. polarization_cm rotates the bright-mode result to TE/TM.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,34 @@ class CovarianceMatrix:
         return self.matrix.astype(dtype)
 
 
+# R(theta) maps (b, d, mech) to (te, tm, mech); each of its rows holds one
+# bright entry, on quadrature _SPREAD of the 4x4 bright-mode covariance, and
+# one dark entry, whose vacuum I/2 pairs equal quadratures of TE and TM
+_SPREAD = np.ix_((0, 1, 0, 1, 2, 3), (0, 1, 0, 1, 2, 3))
+_DARK_VACUUM = 0.5 * np.kron([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                              [0.0, 0.0, 0.0]], np.eye(2))
+
+
+def polarization_cm(v, cos_theta, sin_theta):
+    """6x6 (te, tm, mech) covariance from the 4x4 one of (bright, mech).
+
+    The dark mode d = -sin(theta) a_te + cos(theta) a_tm is uncorrelated
+    vacuum, I/2, and R(theta) rotates (b, d) back to (te, tm) on both
+    quadratures: V = R (V_b (+) I/2) R^T. Row i of R has bright entry w_i in
+    (c, c, s, s, 1, 1) and dark entry u_i in (-s, -s, c, c, 0, 0), so
+    V_ij = w_i w_j V_b[k_i, k_j] + u_i u_j [I/2 on equal quadratures], which
+    is symmetric to the last bit. cos_theta and sin_theta are the snapped
+    values of polarization_split, so at multiples of pi/2 the undriven mode
+    reads exactly I/2 with exactly 0.0 correlations.
+    """
+    c, s = float(cos_theta), float(sin_theta)
+    w = np.array([c, c, s, s, 1.0, 1.0])
+    u = np.array([-s, -s, c, c, 0.0, 0.0])
+    full = (np.asarray(v, dtype=float)[_SPREAD] * np.multiply.outer(w, w)
+            + _DARK_VACUUM * np.multiply.outer(u, u))
+    return CovarianceMatrix(full, modes=MODES)
+
+
 def lyapunov_residual(a, d, v):
     """Max-norm residual of A V + V A^T + D, relative to the max entry of D."""
     a = np.asarray(a, dtype=float)
@@ -104,18 +133,3 @@ def solve_lyapunov(a, d):
         raise LyapunovError("Lyapunov residual %g exceeds %g"
                             % (residual, RESIDUAL_TOL), residual=residual)
     return CovarianceMatrix(v, modes=_default_modes(a.shape[0]))
-
-
-def write_debug_dump(path, a, d, v, residual):
-    """Dump (A, D, V, residual) as row-major matrix text, 17 significant digits."""
-    blocks = (("drift", np.asarray(a, float)), ("diffusion", np.asarray(d, float)),
-              ("covariance", np.asarray(v, float)))
-    lines = []
-    for name, m in blocks:
-        lines.append("# %s %dx%d" % (name, m.shape[0], m.shape[1]))
-        for row in m:
-            lines.append(" ".join("%.17g" % x for x in row))
-    lines.append("# residual")
-    lines.append("%.17g" % residual)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

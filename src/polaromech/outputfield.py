@@ -2,27 +2,33 @@
 
 Both polarizations' output fields are projected onto one causal filter mode
 (central frequency Omega, window length tau); the mechanical mode rides
-along unfiltered. The noise is the Markovian one of the Lyapunov route,
-diffusion_matrix: vacuum input kappa on each optical quadrature and the
-mirror bath gamma_m (2 n_m + 1) on p. The stationary output covariance is
-the frequency integral of 2 Re h(w) over w >= 0, with
+along unfiltered. The filter is linear and shared, so the filtered TE and TM
+modes are R(theta) applied to the filtered bright and dark modes, and the
+dark mode, driven by its own vacuum input alone, leaves the cavity as
+vacuum. The quadrature therefore runs on the 4x4 bright-mode system
+(X_b, Y_b, q, p) of bright_drift_diffusion, and polarization_cm rotates the
+result to TE/TM, as on the intracavity route.
+
+The noise is the Markovian one of the Lyapunov route: vacuum input kappa on
+each optical quadrature and the mirror bath gamma_m (2 n_m + 1) on p. The
+stationary output covariance is the frequency integral of 2 Re h(w) over
+w >= 0, with
 
     h_ij(w) = sum_k d_k y_ik(w) conj(y_jk(w)),    Y = T [M + P/(2 kappa)],
 
-M(w) = (i w + A)^(-1) the resolvent of the drift, P the optical projector,
-d_k the diagonal of the diffusion matrix, and T the filter's 2x2 quadrature
-blocks on the optical rows and a flat 1/sqrt(2 pi) on the mechanical rows.
+M(w) = (i w + A)^(-1) the resolvent of the bright-mode drift, P the optical
+projector, d_k the three nonzero diagonal entries of the diffusion matrix,
+and T the filter's 2x2 quadrature block on the optical rows and a flat
+1/sqrt(2 pi) on the mechanical rows.
 
-The resolvent is written in closed form from the structure of
-assemble_drift. The optical block of i w + A is two identical 2x2 blocks
-[[s, Delta], [-Delta, s]], with s = i w - kappa and Delta the effective
-detuning, whose inverse is [[s, -Delta], [Delta, s]] / (s^2 + Delta^2).
-The mechanics couples in only through the q column c and the p row b, so
-the Schur complement on (q, p) is the bare mechanical 2x2 block with one
-scalar sigma(w) = b^T Z_o^(-1) c subtracted from its (p, q) entry. Every
-entry of M is then a few length-N array operations on an entry-major
-(6, 6, N) stack. The same function serves the coupled drift, the
-zero-coupling reference and the wide-band intracavity cross-check.
+The resolvent is written in closed form: one optical block and a mechanical
+Schur complement. The optical block of i w + A is [[s, Delta], [-Delta, s]],
+with s = i w - kappa and Delta the effective detuning, whose inverse is
+[[s, -Delta], [Delta, s]] / (s^2 + Delta^2). The mechanics couples in only
+through the q column c and the p row b, so the Schur complement on (q, p) is
+the bare mechanical 2x2 block with one scalar sigma(w) = b^T Z_o^(-1) c
+subtracted from its (p, q) entry. Every entry of M is then a few length-N
+array operations on an entry-major (4, 4, N) stack.
 
 Numerically the integral is evaluated as a difference against the
 zero-coupling reference system, whose covariance is known exactly: the
@@ -39,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (STABILITY_MARGIN, assemble_drift, diffusion_matrix,
-                       drift_matrix, spectral_abscissa)
+from .dynamics import (STABILITY_MARGIN, assemble_bright_drift,
+                       bright_drift_diffusion, spectral_abscissa)
 from .gaussian import validate_cm
-from .lyapunov import CovarianceMatrix, MODES
+from .lyapunov import polarization_cm
 from .params import _checked
 
 TWO_PI = 2.0 * math.pi
@@ -181,9 +187,9 @@ def _filter_blocks(w, spec_scaled):
 
 
 def _resolvent(w, a):
-    """(i w + A)^(-1) in closed form, entry-major (6, 6, len(w)) complex.
+    """(i w + A)^(-1) in closed form, entry-major (4, 4, len(w)) complex.
 
-    A must have the structure assemble_drift gives it (ValueError
+    A must have the structure assemble_bright_drift gives it (ValueError
     otherwise). With Z_o^(-1) the optical block inverse, u = Z_o^(-1) c and
     v = b^T Z_o^(-1) for the coupling column c and row b, and S^(-1) the
     inverse of the mechanical Schur complement:
@@ -192,44 +198,37 @@ def _resolvent(w, a):
         M_oo = Z_o^(-1) + S^(-1)[q, p] u v^T.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (6, 6) or not np.array_equal(a, assemble_drift(
-            -a[0, 0], a[0, 1], complex(a[5, 0], a[5, 1]),
-            complex(a[5, 2], a[5, 3]), -a[5, 5], a[4, 5])):
+    if a.shape != (4, 4) or not np.array_equal(a, assemble_bright_drift(
+            -a[0, 0], a[0, 1], complex(a[3, 0], a[3, 1]), -a[3, 3], a[2, 3])):
         raise ValueError("closed-form resolvent needs a drift matrix with "
-                         "the structure of assemble_drift")
+                         "the structure of assemble_bright_drift")
     z = 1j * np.asarray(w, dtype=float)
     s = z + a[0, 0]
     den = s * s + a[0, 1] ** 2
-    diag = s / den              # each optical block inverse is
+    diag = s / den              # the optical block inverse is
     off = a[0, 1] / den         # [[diag, -off], [off, diag]]
-    c, b = a[:4, 4], a[5, :4]
-    u = np.empty((4, len(z)), dtype=complex)
-    v = np.empty_like(u)
-    for o in (0, 2):
-        u[o] = diag * c[o] - off * c[o + 1]
-        u[o + 1] = off * c[o] + diag * c[o + 1]
-        v[o] = b[o] * diag + b[o + 1] * off
-        v[o + 1] = b[o + 1] * diag - b[o] * off
+    c, b = a[:2, 2], a[3, :2]
+    u = np.stack([diag * c[0] - off * c[1], off * c[0] + diag * c[1]])
+    v = np.stack([b[0] * diag + b[1] * off, b[1] * diag - b[0] * off])
     sigma = b @ u
     # Schur complement on (q, p): [[s_qq, s_qp], [s_pq, s_pp]]
-    s_qq = z + a[4, 4]
-    s_pp = z + a[5, 5]
-    s_qp = a[4, 5]
-    s_pq = a[5, 4] - sigma
+    s_qq = z + a[2, 2]
+    s_pp = z + a[3, 3]
+    s_qp = a[2, 3]
+    s_pq = a[3, 2] - sigma
     det = s_qq * s_pp - s_qp * s_pq
-    m = np.empty((6, 6, len(z)), dtype=complex)
-    m[4, 4] = s_pp / det
-    m[4, 5] = -s_qp / det
-    m[5, 4] = -s_pq / det
-    m[5, 5] = s_qq / det
-    m[:4, 4:] = -u[:, None] * m[4, 4:][None]
-    m[4:, :4] = -m[4:, 5][:, None] * v[None]
-    m[:4, :4] = (u * m[4, 5])[:, None] * v[None]
-    for o in (0, 2):
-        m[o, o] += diag
-        m[o + 1, o + 1] += diag
-        m[o, o + 1] -= off
-        m[o + 1, o] += off
+    m = np.empty((4, 4, len(z)), dtype=complex)
+    m[2, 2] = s_pp / det
+    m[2, 3] = -s_qp / det
+    m[3, 2] = -s_pq / det
+    m[3, 3] = s_qq / det
+    m[:2, 2:] = -u[:, None] * m[2, 2:][None]
+    m[2:, :2] = -m[2:, 3][:, None] * v[None]
+    m[:2, :2] = (u * m[2, 3])[:, None] * v[None]
+    m[0, 0] += diag
+    m[1, 1] += diag
+    m[0, 1] -= off
+    m[1, 0] += off
     return m
 
 
@@ -270,13 +269,12 @@ def _difference_integrand(w, a, a_ref, d, spec):
 
     def output_gram(drift):
         x = _resolvent(w, drift)
-        for i in range(4):
-            x[i, i] += 0.5 / kappa_bar
+        x[0, 0] += 0.5 / kappa_bar
+        x[1, 1] += 0.5 / kappa_bar
         y = np.empty_like(x)
-        for o in (0, 2):
-            y[o] = sq * (fx * x[o] - fy * x[o + 1])
-            y[o + 1] = sq * (fy * x[o] + fx * x[o + 1])
-        y[4:] = x[4:] / math.sqrt(TWO_PI)
+        y[0] = sq * (fx * x[0] - fy * x[1])
+        y[1] = sq * (fy * x[0] + fx * x[1])
+        y[2:] = x[2:] / math.sqrt(TWO_PI)
         return _gram(y, weights)
 
     return 2.0 * (output_gram(a) - output_gram(a_ref))
@@ -308,20 +306,20 @@ def _converge_panels(edges, evaluate):
 
 
 def _scaled_setup(ss, dp):
-    """Coupled drift, zero-coupling reference drift and diffusion, omega_m units."""
+    """Bright-mode drift, its zero-coupling reference and diffusion, omega_m units."""
     w = dp.mech_freq
-    a = drift_matrix(ss, dp)
-    a_ref = assemble_drift(dp.cavity_decay / w, ss.detuning / w, 0.0, 0.0,
-                           dp.mech_damping / w)
-    return a, a_ref, diffusion_matrix(dp)
+    dd = bright_drift_diffusion(ss, dp)
+    a_ref = assemble_bright_drift(dp.cavity_decay / w, ss.detuning / w, 0.0,
+                                  dp.mech_damping / w)
+    return dd.drift, a_ref, dd.diffusion
 
 
 def _output_problem(ss, dp, spec):
     """Scaled drifts, difference integrand and initial panel edges.
 
     Everything runs in omega_m units (tau -> epsilon). output_cm integrates
-    exactly this integrand from exactly these edges; dump_integrand samples
-    it there. Returns (a, evaluate, edges).
+    exactly this integrand from exactly these edges. Returns
+    (a, evaluate, edges).
     """
     w_m = dp.mech_freq
     _check_filter(spec, w_m)
@@ -359,57 +357,16 @@ def output_cm(ss, dp, spec):
     # uncoupled Markovian oscillator, whose A V + V A^T = -D gives V_qp = 0
     # and V_qq = V_pp = n_m + 1/2
     thermal = dp.thermal_occupancy + 0.5
-    v = diff + np.diag([0.5, 0.5, 0.5, 0.5, thermal, thermal])
+    v = diff + np.diag([0.5, 0.5, thermal, thermal])
 
     asym = float(np.max(np.abs(v - v.T)))
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(v)))):
         raise ArithmeticError("output covariance asymmetric beyond tolerance: %g"
                               % asym)
-    v = 0.5 * (v + v.T)
-    report = validate_cm(v)
+    cm = polarization_cm(0.5 * (v + v.T), ss.cos_theta, ss.sin_theta)
+    report = validate_cm(cm)
     if not report.physical:
         raise ArithmeticError("output covariance is unphysical (margin %g); "
                               "this indicates a convention bug, not a "
                               "tolerance problem" % report.margin)
-    return CovarianceMatrix(v, modes=MODES)
-
-
-def intracavity_cm_spectral(ss, dp):
-    """Intracavity covariance by wide-band Markovian spectral integration.
-
-    No filters and the same diffusion as output_cm: this is the Parseval
-    equivalent of the Lyapunov solution and must reproduce it. The
-    neglected tail beyond the window is added in closed form as D / (pi W).
-    """
-    a, _, d = _scaled_setup(ss, dp)
-    if spectral_abscissa(a) >= -STABILITY_MARGIN:
-        raise ValueError("cannot form the stationary state of an unstable system")
-    weights = _noise_weights(d)
-    edges = _graded_edges(_eigen_features(a), _FREQ_CUTOFF)
-
-    def evaluate(w):
-        return 2.0 * _gram(_resolvent(w, a), weights) / TWO_PI
-
-    val, _ = _converge_panels(edges, evaluate)
-    v = val + d / (math.pi * _FREQ_CUTOFF)
-    v = 0.5 * (v + v.T)
-    return CovarianceMatrix(v, modes=MODES)
-
-
-def dump_integrand(path, ss, dp, spec):
-    """Write integrand samples (omega, 36 row-major entries) as delimited text.
-
-    Diagnostic hook: the sampled quantity is the realified difference
-    integrand actually used by output_cm, on its initial panel grid.
-    """
-    *_, evaluate, edges = _output_problem(ss, dp, spec)
-    nodes, _ = _gauss_panels(edges)
-    h = evaluate(nodes)
-    with open(path, "w") as fh:
-        fh.write("omega_over_omega_m," +
-                 ",".join("h_%d%d" % (i, j) for i in range(6) for j in range(6))
-                 + "\n")
-        for wv, mat in zip(nodes, h):
-            fh.write("%.17g," % wv
-                     + ",".join("%.17g" % x for x in mat.ravel()) + "\n")
-    return path
+    return cm

@@ -1,8 +1,12 @@
-"""One-call workflows from physical parameters to entanglement numbers."""
+"""One-call workflows from physical parameters to entanglement numbers.
 
+Both routes evaluate the 4x4 bright-mode system (see dynamics) and return
+the 6x6 (te, tm, mech) covariance through polarization_cm.
+"""
+
+from .dynamics import bright_drift_diffusion
 from .gaussian import log_negativity, reduce_bipartite
-from .lyapunov import solve_lyapunov
-from .dynamics import drift_diffusion
+from .lyapunov import polarization_cm, solve_lyapunov
 from .outputfield import FilterSpec, output_cm
 from .params import derive_constants
 from .steadystate import solve_steady_state
@@ -18,10 +22,11 @@ def operating_point(params):
 
 
 def intracavity_cm(params):
-    """Stationary intracavity covariance from the Lyapunov route."""
+    """Stationary intracavity covariance (te, tm, mech), Lyapunov route."""
     dp, ss = operating_point(params)
-    dd = drift_diffusion(ss, dp)
-    return solve_lyapunov(dd.drift, dd.diffusion), dp, ss
+    dd = bright_drift_diffusion(ss, dp)
+    v = solve_lyapunov(dd.drift, dd.diffusion)
+    return polarization_cm(v, ss.cos_theta, ss.sin_theta), dp, ss
 
 
 def output_cm_at(params, epsilon, omega_over_omega_m):

@@ -2,8 +2,11 @@
 
 Eliminating the mean optical fields from the fixed-point conditions leaves a
 cubic in the static displacement q_s. At strong drive the cubic can have
-three real roots (optical bistability); the root that makes the full drift
+three real roots (optical bistability); the root that makes the drift
 matrix stable is selected, with the smallest q_s as tie-break.
+
+The branch is chosen on the 4x4 bright-mode drift (see dynamics): the dark
+mode's eigenvalues -kappa +- i Delta are always stable.
 """
 
 import math
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import STABILITY_MARGIN, assemble_drift, spectral_abscissa
+from .dynamics import (STABILITY_MARGIN, assemble_bright_drift,
+                       spectral_abscissa)
 from .params import polarization_split
 
 
@@ -27,16 +31,27 @@ class UnstableOperatingPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Mean-field operating point about which the dynamics is linearized."""
+    """Mean-field operating point about which the dynamics is linearized.
 
-    alpha_te: complex      # dimensionless intracavity amplitude, TE mode
-    alpha_tm: complex      # dimensionless intracavity amplitude, TM mode
+    The two modes share one cavity denominator, so the per-polarization
+    amplitudes and couplings are the bright-mode ones times the snapped
+    (cos theta, sin theta) of polarization_split: exactly zero for the
+    undriven mode at multiples of pi/2.
+    """
+
+    alpha: complex         # dimensionless intracavity amplitude, bright mode
     q_s: float             # dimensionless static displacement
     p_s: float             # dimensionless static momentum, identically 0
     detuning: float        # rad/s, effective detuning Delta = Delta_c - g0 q_s
-    coupling_te: complex   # rad/s, G_te = sqrt(2) g0 alpha_te
-    coupling_tm: complex   # rad/s, G_tm = sqrt(2) g0 alpha_tm
+    coupling: complex      # rad/s, bright-mode coupling G = sqrt(2) g0 alpha
+    cos_theta: float       # TE share of the drive amplitude
+    sin_theta: float       # TM share of the drive amplitude
     root_count: int = 1    # number of distinct real roots of the cubic
+
+    alpha_te = property(lambda self: self.cos_theta * self.alpha)
+    alpha_tm = property(lambda self: self.sin_theta * self.alpha)
+    coupling_te = property(lambda self: self.cos_theta * self.coupling)
+    coupling_tm = property(lambda self: self.sin_theta * self.coupling)
 
 
 def _cubic_real_roots(delta_c, kappa, rhs):
@@ -85,12 +100,12 @@ def solve_steady_state(dp, p):
     gamma_bar = dp.mech_damping / w
     s_total = dp.drive_amplitude
 
+    cos_theta, sin_theta = polarization_split(1.0, p.polarization_angle)
     if s_total == 0.0:
-        return SteadyState(alpha_te=0j, alpha_tm=0j, q_s=0.0, p_s=0.0,
-                           detuning=p.cavity_detuning,
-                           coupling_te=0j, coupling_tm=0j, root_count=1)
+        return SteadyState(alpha=0j, q_s=0.0, p_s=0.0,
+                           detuning=p.cavity_detuning, coupling=0j,
+                           cos_theta=cos_theta, sin_theta=sin_theta)
 
-    s_te, s_tm = polarization_split(s_total, p.polarization_angle)
     # x = g0 q_s / omega_m solves x[(Dc - x)^2 + k^2] = 2 k g0^2 S^2 / omega_m^3
     rhs = 2.0 * kappa_bar * (g0 * g0) * (s_total * s_total) / w**3
     roots = _cubic_real_roots(delta_c_bar, kappa_bar, rhs)
@@ -99,18 +114,15 @@ def solve_steady_state(dp, p):
     for x in roots:
         detuning = (delta_c_bar - x) * w
         denom = 1j * detuning + dp.cavity_decay
-        alpha_te = math.sqrt(2.0 * dp.cavity_decay) * s_te / denom
-        alpha_tm = math.sqrt(2.0 * dp.cavity_decay) * s_tm / denom
-        g_te = math.sqrt(2.0) * g0 * alpha_te
-        g_tm = math.sqrt(2.0) * g0 * alpha_tm
+        alpha = math.sqrt(2.0 * dp.cavity_decay) * s_total / denom
         candidates.append(SteadyState(
-            alpha_te=alpha_te, alpha_tm=alpha_tm,
-            q_s=x * w / g0, p_s=0.0, detuning=detuning,
-            coupling_te=g_te, coupling_tm=g_tm, root_count=len(roots)))
+            alpha=alpha, q_s=x * w / g0, p_s=0.0, detuning=detuning,
+            coupling=math.sqrt(2.0) * g0 * alpha, cos_theta=cos_theta,
+            sin_theta=sin_theta, root_count=len(roots)))
 
     for ss in candidates:  # ascending q_s, so the first stable is the smallest
-        drift = assemble_drift(kappa_bar, ss.detuning / w, ss.coupling_te / w,
-                               ss.coupling_tm / w, gamma_bar)
+        drift = assemble_bright_drift(kappa_bar, ss.detuning / w,
+                                      ss.coupling / w, gamma_bar)
         if spectral_abscissa(drift) < -STABILITY_MARGIN:
             return ss
     raise UnstableOperatingPointError([ss.q_s for ss in candidates])

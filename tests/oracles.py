@@ -5,7 +5,9 @@ the Lyapunov oracles integrate the propagator in the time domain, run
 scipy's Bartels-Stewart (real Schur) solver, or solve the Kronecker system
 at 50 digits; the filtered output is propagated over its window in the time
 domain; the covariance generator builds matrices from a Williamson normal
-form.
+form. The wide-band spectral route inverts the 6x6 TE/TM drift with numpy
+instead of using the package's closed-form bright-mode resolvent. The two
+dump writers are diagnostics that the package itself does not need.
 """
 
 import math
@@ -166,37 +168,103 @@ def resolvent_mp(omega, a, dps=50):
 
 
 def output_integrand_matrix_form(w, a, a_ref, d, spec):
-    """Filtered-output difference integrand built as explicit 6x6 products.
+    """Filtered-output difference integrand built as explicit matrix products.
 
     2 Re [T X D X^H T^H (full) - the same (reference)] per node, with
     X = (i w + A)^(-1) + P / (2 kappa) from numpy's inverse, T the filter
-    transform as a full matrix (the one filter on both polarizations), and
-    D the diffusion matrix, whose optical entries are kappa. Everything in
-    omega_m units on w > 0, as (len(w), 6, 6).
+    transform as a full matrix (the one filter on every optical mode), and
+    D the diffusion matrix, whose optical entries are kappa. The last two
+    rows are the mechanics; the rest are optical quadrature pairs, so this
+    serves the 4x4 bright-mode and the 6x6 TE/TM systems alike. Everything
+    in omega_m units on w > 0, as (len(w), n, n).
     """
     from polaromech import filter_fourier
 
     w = np.asarray(w, dtype=float)
-    n = w.size
+    n = a.shape[0]
     kappa_bar = d[0, 0]
-    t = np.zeros((n, 6, 6), dtype=complex)
+    t = np.zeros((w.size, n, n), dtype=complex)
     sq = math.sqrt(2.0 * kappa_bar)
     gp = filter_fourier(spec, w)
     gm = np.conj(filter_fourier(spec, -w))
     fx, fy = 0.5 * (gp + gm), (gp - gm) / 2j
-    for o in (0, 2):
+    for o in range(0, n - 2, 2):
         t[:, o, o] = t[:, o + 1, o + 1] = sq * fx
         t[:, o, o + 1] = -sq * fy
         t[:, o + 1, o] = sq * fy
-    t[:, 4, 4] = t[:, 5, 5] = 1.0 / math.sqrt(2.0 * math.pi)
-    proj = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]) / (2.0 * kappa_bar)
+    t[:, n - 2, n - 2] = t[:, n - 1, n - 1] = 1.0 / math.sqrt(2.0 * math.pi)
+    proj = np.diag([1.0] * (n - 2) + [0.0, 0.0]) / (2.0 * kappa_bar)
 
     def h(drift):
-        x = np.linalg.inv(1j * w[:, None, None] * np.eye(6) + drift) + proj
+        x = np.linalg.inv(1j * w[:, None, None] * np.eye(n) + drift) + proj
         y = t @ x
         return y @ d @ np.conj(np.swapaxes(y, 1, 2))
 
     return 2.0 * np.real(h(a) - h(a_ref))
+
+
+def intracavity_cm_spectral(ss, dp):
+    """Intracavity covariance by wide-band Markovian spectral integration.
+
+    The Parseval equivalent of the Lyapunov solution on the 6x6 TE/TM
+    drift: the integral of M D M^H / 2 pi over all frequencies, with M =
+    (i w + A)^(-1) from numpy's inverse, on the package's graded panels. The
+    neglected tail beyond the window is added in closed form as D / (pi W).
+    """
+    from polaromech import diffusion_matrix, drift_matrix, outputfield
+
+    a = drift_matrix(ss, dp)
+    d = diffusion_matrix(dp)
+    if not np.linalg.eigvals(a).real.max() < 0.0:
+        raise ValueError("cannot form the stationary state of an unstable system")
+    cutoff = outputfield._FREQ_CUTOFF
+    edges = outputfield._graded_edges(outputfield._eigen_features(a), cutoff)
+
+    def evaluate(w):
+        m = np.linalg.inv(1j * w[:, None, None] * np.eye(6) + a)
+        h = m @ d @ np.conj(np.swapaxes(m, 1, 2))
+        return 2.0 * np.real(h) / (2.0 * math.pi)
+
+    val, _ = outputfield._converge_panels(edges, evaluate)
+    v = val + d / (math.pi * cutoff)
+    return 0.5 * (v + v.T)
+
+
+def write_debug_dump(path, a, d, v, residual):
+    """Dump (A, D, V, residual) as row-major matrix text, 17 significant digits."""
+    blocks = (("drift", np.asarray(a, float)), ("diffusion", np.asarray(d, float)),
+              ("covariance", np.asarray(v, float)))
+    lines = []
+    for name, m in blocks:
+        lines.append("# %s %dx%d" % (name, m.shape[0], m.shape[1]))
+        for row in m:
+            lines.append(" ".join("%.17g" % x for x in row))
+    lines.append("# residual")
+    lines.append("%.17g" % residual)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def dump_integrand(path, ss, dp, spec):
+    """Write output_cm's difference integrand on its first-pass nodes.
+
+    One line per node: omega / omega_m, then the 16 row-major entries of the
+    realified 4x4 bright-mode integrand, as delimited text.
+    """
+    from polaromech import outputfield
+
+    *_, evaluate, edges = outputfield._output_problem(ss, dp, spec)
+    nodes, _ = outputfield._gauss_panels(edges)
+    h = evaluate(nodes)
+    n = h.shape[1]
+    with open(path, "w") as fh:
+        fh.write("omega_over_omega_m," +
+                 ",".join("h_%d%d" % (i, j) for i in range(n) for j in range(n))
+                 + "\n")
+        for wv, mat in zip(nodes, h):
+            fh.write("%.17g," % wv
+                     + ",".join("%.17g" % x for x in mat.ravel()) + "\n")
+    return path
 
 
 def van_loan_output_cm(a, d, epsilon, omega):

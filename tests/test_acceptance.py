@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 from polaromech import (UnstableOperatingPointError, derive_constants,
-                        entanglement, intracavity_cm,
-                        intracavity_cm_spectral, is_stable_eigen,
+                        entanglement, intracavity_cm, is_stable_eigen,
                         is_stable_routh_hurwitz, log_negativity,
                         min_symplectic_pt, min_symplectic_pt_spectral,
                         operating_point, paper_params, solve_lyapunov,
                         spectral_abscissa)
-from oracles import (brute_force_lyapunov, random_physical_cm,
-                     random_stable_pair, two_mode_squeezed_cm)
+from oracles import (brute_force_lyapunov, intracavity_cm_spectral,
+                     random_physical_cm, random_stable_pair,
+                     two_mode_squeezed_cm)
 
 
 def _report(n, ok, detail):

@@ -9,7 +9,7 @@ import pytest
 from goldens import golden_cli_args
 
 import polaromech
-from polaromech import cli, lyapunov, outputfield
+from polaromech import cli, lyapunov, outputfield, pipeline
 
 
 def _run(capsys, *argv):
@@ -145,7 +145,7 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
 
 
 def _nan_integrand(w, *args):
-    return np.full((w.size, 6, 6), np.nan)
+    return np.full((w.size, 4, 4), np.nan)
 
 
 def test_nonfinite_output_quadrature_exit_code(capsys, monkeypatch):
@@ -247,6 +247,18 @@ def test_validate_command(capsys):
     code, out = _run(capsys, "validate", "--defaults", "paper")
     assert code == 0
     assert "ok" in out
+
+
+def test_validate_catches_a_wrong_rotation(capsys, monkeypatch):
+    # validate checks the rotated bright-mode solution that entangle uses
+    # against the full 6x6 model, so swapping cos and sin must fail it
+    rotate = pipeline.polarization_cm
+    monkeypatch.setattr(pipeline, "polarization_cm",
+                        lambda v, c, s: rotate(v, s, c))
+    code, out = _run(capsys, "validate", "--defaults", "paper",
+                     "--set", "theta_rad=0.3")
+    assert code == 3
+    assert "lyapunov residual < 1e-9" in out and "FAILED" in out
 
 
 def test_version(capsys):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from oracles import (bartels_stewart_lyapunov, brute_force_lyapunov,
-                     kron_lyapunov_mp, log_negativity_mp, random_stable_pair)
+                     kron_lyapunov_mp, log_negativity_mp, random_stable_pair,
+                     write_debug_dump)
 
 from polaromech import (CovarianceMatrix, LyapunovError, derive_constants,
                         drift_diffusion, log_negativity, lyapunov,
                         lyapunov_residual, paper_params, reduce_bipartite,
-                        solve_lyapunov, solve_steady_state,
-                        write_debug_dump)
+                        solve_lyapunov, solve_steady_state)
 
 
 def _baseline_system(**over):

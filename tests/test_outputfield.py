@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 from goldens import golden_params
-from oracles import (output_integrand_matrix_form, resolvent_mp,
+from oracles import (dump_integrand, intracavity_cm_spectral,
+                     output_integrand_matrix_form, resolvent_mp,
                      transfer_matrix, van_loan_output_cm)
 
 from polaromech import (FilterSpec, SteadyState, derive_constants,
-                        diffusion_matrix, drift_matrix, dump_integrand,
-                        filter_fourier, intracavity_cm,
-                        intracavity_cm_spectral, log_negativity,
-                        operating_point, output_cm, output_cm_at, outputfield,
-                        paper_params, reduce_bipartite, spectral_abscissa,
-                        validate_cm)
+                        diffusion_matrix, drift_matrix, filter_fourier,
+                        intracavity_cm, log_negativity, operating_point,
+                        output_cm, output_cm_at, outputfield, paper_params,
+                        reduce_bipartite, spectral_abscissa, validate_cm)
+from polaromech.dynamics import bright_drift_diffusion
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,7 +86,8 @@ def test_transfer_matrix_singular_at_undamped_resonance():
 # --- closed-form resolvent ---
 
 def _resolvent_points():
-    """Stable scaled drifts: theta, Q_c, the overdamped corner, a three-root branch."""
+    """Stable scaled bright-mode drifts: theta, Q_c, the overdamped corner,
+    a three-root branch."""
     theta = float(np.random.default_rng(11).uniform(0.0, math.pi / 2))
     overrides = [{"polarization_angle": t, "optical_quality": q}
                  for t in (0.0, math.pi / 2, theta) for q in (1e6, 1e7, 1e8, 1e9)]
@@ -99,7 +100,7 @@ def _resolvent_points():
                                            drive_power=0.285))
     assert ss.root_count == 3
     points.append((dp, ss))
-    return [drift_matrix(ss, dp) for dp, ss in points]
+    return [bright_drift_diffusion(ss, dp).drift for dp, ss in points]
 
 
 def test_resolvent_matches_inverse_oracle():
@@ -114,10 +115,10 @@ def test_resolvent_matches_inverse_oracle():
         grid = np.concatenate([np.linspace(-4.0, 4.0, 81), resonances,
                                -resonances, [0.0, 40.0, -40.0]])
         m = outputfield._resolvent(grid, a)
-        assert m.shape == (6, 6, grid.size)
+        assert m.shape == (4, 4, grid.size)
         for i, wv in enumerate(grid):
             oracle = transfer_matrix(wv, a)
-            cond = np.linalg.cond(1j * wv * np.eye(6) + a)
+            cond = np.linalg.cond(1j * wv * np.eye(4) + a)
             tol = max(1e-12, 8.0 * eps * cond) * np.abs(oracle).max()
             assert np.abs(m[:, :, i] - oracle).max() <= tol
 
@@ -139,18 +140,33 @@ def test_resolvent_at_sharp_mechanical_resonance_high_precision():
 
 def test_resolvent_rejects_foreign_structure():
     _, dp, ss = _baseline()
-    a = drift_matrix(ss, dp)
+    a = bright_drift_diffusion(ss, dp).drift
     w = np.array([0.5, 1.0])
-    for i, j in ((0, 2), (4, 0), (1, 5), (0, 0)):
+    for i, j in ((0, 3), (2, 0), (1, 1), (0, 0)):
         bad = a.copy()
         bad[i, j] += 0.25
         with pytest.raises(ValueError):
             outputfield._resolvent(w, bad)
     with pytest.raises(ValueError):
-        outputfield._resolvent(w, a[4:, 4:])
+        outputfield._resolvent(w, a[2:, 2:])
+    with pytest.raises(ValueError):
+        outputfield._resolvent(w, drift_matrix(ss, dp))
+
+
+def _rotation(ss):
+    """R(theta) on the 6x6 basis, (bright, dark, mech) -> (te, tm, mech)."""
+    c, s = ss.cos_theta, ss.sin_theta
+    r = np.eye(6)
+    r[0, 0] = r[1, 1] = r[2, 2] = r[3, 3] = c
+    r[0, 2] = r[1, 3] = -s
+    r[2, 0] = r[3, 1] = s
+    return r
 
 
 def test_difference_integrand_matches_matrix_form():
+    # the 4x4 bright-mode integrand against explicit products on the same
+    # system, and, rotated to TE/TM with a zero dark block, against explicit
+    # products on the model's 6x6 drift
     for over, spec in (({}, FilterSpec(-1.0, 10.0, 10.0)),
                        ({"polarization_angle": 0.7, "temperature": 0.0},
                         FilterSpec(-0.4, 3.0, 3.0)),
@@ -159,13 +175,24 @@ def test_difference_integrand_matches_matrix_form():
                         FilterSpec(-1.0, 10.0, 10.0))):
         dp, ss = operating_point(paper_params(**over))
         a, a_ref, d = outputfield._scaled_setup(ss, dp)
-        assert np.array_equal(d, diffusion_matrix(dp))
+        assert np.array_equal(np.diag(d), np.diag(diffusion_matrix(dp))[[0, 1, 4, 5]])
         resonances = np.abs(np.linalg.eigvals(a).imag)
         w = np.sort(np.concatenate([np.linspace(1e-3, 8.0, 400), resonances]))
         args = (w, a, a_ref, d, spec)
         h = outputfield._difference_integrand(*args)
         oracle = output_integrand_matrix_form(*args)
         assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+        a6 = drift_matrix(ss, dp)
+        a6_ref = a6.copy()
+        a6_ref[:4, 4] = a6_ref[5, :4] = 0.0
+        oracle6 = output_integrand_matrix_form(w, a6, a6_ref,
+                                               diffusion_matrix(dp), spec)
+        h6 = np.zeros((w.size, 6, 6))
+        h6[np.ix_(range(w.size), [0, 1, 4, 5], [0, 1, 4, 5])] = h
+        r = _rotation(ss)
+        h6 = r @ h6 @ r.T
+        assert np.abs(h6 - oracle6).max() <= 1e-12 * np.abs(oracle6).max()
 
 
 def test_output_cm_uses_no_matrix_inverse(monkeypatch):
@@ -184,9 +211,9 @@ def test_output_cm_uses_no_matrix_inverse(monkeypatch):
 def test_output_decoupled_optical_blocks_exact_vacuum():
     # zero effective coupling: filtered output is exactly vacuum
     p, dp, _ = _baseline()
-    ss0 = SteadyState(alpha_te=0j, alpha_tm=0j, q_s=0.0, p_s=0.0,
-                      detuning=p.cavity_detuning, coupling_te=0j,
-                      coupling_tm=0j)
+    ss0 = SteadyState(alpha=0j, q_s=0.0, p_s=0.0,
+                      detuning=p.cavity_detuning, coupling=0j,
+                      cos_theta=1.0, sin_theta=0.0)
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
     v = np.asarray(output_cm(ss0, dp, spec))
     assert np.array_equal(v[:4, :4], 0.5 * np.eye(4))
@@ -291,9 +318,9 @@ def test_unstable_point_rejected():
     p = paper_params()
     dp = derive_constants(p)
     # blue-detuned strong-coupling steady state built by hand
-    ss = SteadyState(alpha_te=4.6e4 + 0j, alpha_tm=0j, q_s=1.2e4, p_s=0.0,
-                     detuning=-p.mech_freq,
-                     coupling_te=0.45 * p.mech_freq + 0j, coupling_tm=0j)
+    ss = SteadyState(alpha=4.6e4 + 0j, q_s=1.2e4, p_s=0.0,
+                     detuning=-p.mech_freq, coupling=0.45 * p.mech_freq + 0j,
+                     cos_theta=1.0, sin_theta=0.0)
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
     with pytest.raises(ValueError):
         output_cm(ss, dp, spec)
@@ -317,7 +344,7 @@ def test_nonfinite_integrand_stops_on_first_pass(monkeypatch):
 
     def nan_integrand(w, *args):
         passes.append(w.size)
-        return np.full((w.size, 6, 6), np.nan)
+        return np.full((w.size, 4, 4), np.nan)
 
     monkeypatch.setattr(outputfield, "_difference_integrand", nan_integrand)
     with pytest.raises(ArithmeticError, match="non-finite"):
@@ -348,9 +375,9 @@ def test_dump_integrand(tmp_path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "omega_over_omega_m"
-    assert len(header) == 37
+    assert len(header) == 17
     data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
-    assert data.shape[1] == 37
+    assert data.shape[1] == 17
     w = data[:, 0]
     assert np.all(np.diff(w) > 0) and w.min() > 0.0
 
@@ -373,4 +400,4 @@ def test_dump_samples_output_cm_first_pass(tmp_path, monkeypatch):
     dump_integrand(path, ss, dp, spec)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], nodes)
-    assert np.array_equal(data[:, 1:], np.asarray(h).reshape(len(nodes), 36))
+    assert np.array_equal(data[:, 1:], np.asarray(h).reshape(len(nodes), 16))
