@@ -10,17 +10,13 @@ sweeps and a small CLI.
 
 from .config import (CONFIG_KEYS, PAPER_BASELINE, ConfigError, build_params,
                      params_record, paper_params, parse_config)
-from .constants import C_LIGHT, HBAR, K_BOLTZMANN, PLANCK_H
 from .figures import FIGURES, reproduce_figure
 from .dynamics import (BASIS_LABELS, STABILITY_MARGIN, DriftDiffusion,
-                       assemble_drift, characteristic_polynomial,
-                       diffusion_matrix, drift_diffusion, drift_matrix,
-                       is_stable_eigen, is_stable_routh_hurwitz,
-                       spectral_abscissa)
+                       assemble_drift, diffusion_matrix, drift_diffusion,
+                       drift_matrix, is_stable_eigen, spectral_abscissa)
 from .gaussian import (BipartiteCM, PhysicalityReport, log_negativity,
-                       min_symplectic_pt, min_symplectic_pt_spectral,
-                       reduce_bipartite, symplectic_eigenvalues,
-                       symplectic_form, validate_cm)
+                       min_symplectic_pt, reduce_bipartite, symplectic_form,
+                       validate_cm)
 from .lyapunov import (CovarianceMatrix, LyapunovError, lyapunov_residual,
                        solve_lyapunov)
 from .outputfield import FilterSpec, filter_fourier, output_cm
@@ -37,21 +33,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIS_NAMES", "Axis", "BASIS_LABELS", "BipartiteCM", "CONFIG_KEYS",
-    "C_LIGHT", "ConfigError", "CovarianceMatrix", "DerivedParams",
-    "DriftDiffusion", "FIGURES", "FilterSpec", "HBAR", "K_BOLTZMANN",
-    "LyapunovError", "PAPER_BASELINE", "PLANCK_H", "ParameterError",
-    "PhysicalityReport", "ResultTable", "STABILITY_MARGIN", "SteadyState",
-    "SweepSpec", "SystemParams", "TARGETS", "UnstableOperatingPointError",
-    "assemble_drift", "build_params", "characteristic_polynomial",
-    "derive_constants", "diffusion_matrix", "drift_diffusion",
-    "drift_matrix", "entanglement", "filter_fourier",
-    "intracavity_cm", "is_stable_eigen",
-    "is_stable_routh_hurwitz", "log_negativity", "lyapunov_residual",
-    "mean_phonon_number", "min_symplectic_pt",
-    "min_symplectic_pt_spectral", "operating_point", "output_cm",
-    "output_cm_at", "paper_params", "params_record", "parse_config",
-    "polarization_split", "reduce_bipartite", "reproduce_figure",
-    "run_sweep", "solve_lyapunov", "solve_steady_state",
-    "spectral_abscissa", "symplectic_eigenvalues", "symplectic_form",
+    "ConfigError", "CovarianceMatrix", "DerivedParams", "DriftDiffusion",
+    "FIGURES", "FilterSpec", "LyapunovError", "PAPER_BASELINE",
+    "ParameterError", "PhysicalityReport", "ResultTable",
+    "STABILITY_MARGIN", "SteadyState", "SweepSpec", "SystemParams",
+    "TARGETS", "UnstableOperatingPointError", "assemble_drift",
+    "build_params", "derive_constants", "diffusion_matrix",
+    "drift_diffusion", "drift_matrix", "entanglement", "filter_fourier",
+    "intracavity_cm", "is_stable_eigen", "log_negativity",
+    "lyapunov_residual", "mean_phonon_number", "min_symplectic_pt",
+    "operating_point", "output_cm", "output_cm_at", "paper_params",
+    "params_record", "parse_config", "polarization_split",
+    "reduce_bipartite", "reproduce_figure", "run_sweep", "solve_lyapunov",
+    "solve_steady_state", "spectral_abscissa", "symplectic_form",
     "validate_cm",
 ]

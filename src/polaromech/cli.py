@@ -16,12 +16,12 @@ from . import __version__
 from .config import ConfigError, build_params, params_record, parse_config
 from .dynamics import drift_diffusion, is_stable_routh_hurwitz, spectral_abscissa
 from .figures import FIGURES, reproduce_figure
-from .gaussian import (log_negativity, min_symplectic_pt,
+from .gaussian import (_negativity_of_nu, min_symplectic_pt,
                        min_symplectic_pt_spectral, reduce_bipartite,
                        validate_cm)
 from .lyapunov import LyapunovError, lyapunov_residual
 from .params import ParameterError
-from .pipeline import intracavity_cm, operating_point, output_cm_at
+from .pipeline import _covariance, intracavity_cm, operating_point
 from .steadystate import UnstableOperatingPointError
 from .sweep import AXIS_NAMES, TARGETS, Axis, SweepSpec, run_sweep
 
@@ -119,17 +119,13 @@ def _cmd_steady(args):
 
 def _cmd_entangle(args):
     params = _load_params(args)
-    pair = _PAIR_NAMES[args.pair]
-    if args.where == "intracavity":
-        v, dp, ss = intracavity_cm(params)
-    else:
-        v, dp, ss = output_cm_at(params, args.epsilon, args.omega_over_omega_m)
-    v_bp = reduce_bipartite(v, pair)
-    nu = min_symplectic_pt(v_bp)
+    dp, ss = operating_point(params)
+    v = _covariance(dp, ss, args.where, args.epsilon, args.omega_over_omega_m)
+    nu = min_symplectic_pt(reduce_bipartite(v, _PAIR_NAMES[args.pair]))
     record = {
         "pair": args.pair,
         "where": args.where,
-        "log_negativity": log_negativity(v_bp),
+        "log_negativity": _negativity_of_nu(nu),
         "nu_min": nu,
         "q_s": ss.q_s,
         "delta_eff_over_omega_m": ss.detuning / dp.mech_freq,

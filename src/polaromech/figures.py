@@ -3,9 +3,10 @@
 Each figure id maps to a deterministic grid evaluation returning a
 ResultTable; rerunning a figure writes byte-identical output. Grid
 densities balance plot smoothness against runtime. Measured on one core
-of a 2-core Linux VM: intracavity points cost about 1 ms; filtered-output
-points cost about 10 ms (fig4b: 1681 points in 18 s) and up to about 0.2 s
-where the quadrature needs ~90k nodes (Q_c = 1e6, T = 20 mK).
+of a 2-core Linux VM, two runs: an intracavity row (both polarizations)
+costs about 0.5 ms (fig2c: 10201 rows in 5.2-6.2 s); a filtered-output
+point costs about 10 ms (fig4b: 1681 points in 14.6-17.2 s) and up to
+about 0.15 s at the overdamped corner (Q_c = 1e6, T = 20 mK, epsilon = 5).
 
 All grids start from the baseline parameter set and state their deviations
 explicitly. The detection-frequency axis is Omega/omega_m; the filter

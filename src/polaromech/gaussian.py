@@ -157,7 +157,11 @@ def log_negativity(v_bp):
     Returns exactly 0.0 (separability decidable by equality) whenever
     nu_minus is at or within rounding of 1/2.
     """
-    nu = min_symplectic_pt(v_bp)
+    return _negativity_of_nu(min_symplectic_pt(v_bp))
+
+
+def _negativity_of_nu(nu):
+    """E_N from nu_minus, with the SEPARABILITY_SNAP rule of log_negativity."""
     if nu >= 0.5 * (1.0 - SEPARABILITY_SNAP):
         return 0.0
     return max(0.0, -math.log(2.0 * nu))

@@ -21,12 +21,24 @@ def operating_point(params):
     return dp, ss
 
 
+def _covariance(dp, ss, where, epsilon, omega_over_omega_m):
+    """Covariance (te, tm, mech) at an operating point already solved.
+
+    where "output" gives the filtered output of output_cm_at, else intracavity.
+    """
+    if where == "output":
+        spec = FilterSpec.from_epsilon(epsilon, omega_over_omega_m * dp.mech_freq,
+                                       dp.mech_freq)
+        return output_cm(ss, dp, spec)
+    dd = bright_drift_diffusion(ss, dp)
+    v = solve_lyapunov(dd.drift, dd.diffusion)
+    return polarization_cm(v, ss.cos_theta, ss.sin_theta)
+
+
 def intracavity_cm(params):
     """Stationary intracavity covariance (te, tm, mech), Lyapunov route."""
     dp, ss = operating_point(params)
-    dd = bright_drift_diffusion(ss, dp)
-    v = solve_lyapunov(dd.drift, dd.diffusion)
-    return polarization_cm(v, ss.cos_theta, ss.sin_theta), dp, ss
+    return _covariance(dp, ss, "intracavity", None, None), dp, ss
 
 
 def output_cm_at(params, epsilon, omega_over_omega_m):
@@ -36,9 +48,7 @@ def output_cm_at(params, epsilon, omega_over_omega_m):
     tau = epsilon / omega_m, centered on Omega = omega_over_omega_m * omega_m.
     """
     dp, ss = operating_point(params)
-    spec = FilterSpec.from_epsilon(epsilon, omega_over_omega_m * dp.mech_freq,
-                                   dp.mech_freq)
-    return output_cm(ss, dp, spec), dp, ss
+    return _covariance(dp, ss, "output", epsilon, omega_over_omega_m), dp, ss
 
 
 def entanglement(params, pair=("te", "mech"), where="intracavity",
@@ -47,10 +57,8 @@ def entanglement(params, pair=("te", "mech"), where="intracavity",
     if tuple(pair) not in PAIRS:
         raise ValueError("unknown mode pair %r; expected one of %r"
                          % (pair, PAIRS))
-    if where == "intracavity":
-        v, _, _ = intracavity_cm(params)
-    elif where == "output":
-        v, _, _ = output_cm_at(params, epsilon, omega_over_omega_m)
-    else:
+    if where not in ("intracavity", "output"):
         raise ValueError("where must be 'intracavity' or 'output', got %r" % where)
+    dp, ss = operating_point(params)
+    v = _covariance(dp, ss, where, epsilon, omega_over_omega_m)
     return log_negativity(reduce_bipartite(v, pair))

@@ -1,4 +1,4 @@
-"""Parameter sweeps over stability and entanglement, plus canned figure grids.
+"""Parameter sweeps over stability and entanglement.
 
 A sweep varies one or two axes over a dense grid and evaluates a single
 scalar target at every point. Unstable operating points are data, not
@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CONFIG_KEYS, PAPER_BASELINE, build_params, params_record
-from .gaussian import log_negativity, min_symplectic_pt, reduce_bipartite
+from .gaussian import _negativity_of_nu, min_symplectic_pt, reduce_bipartite
 from .lyapunov import LyapunovError
 from .params import ParameterError
-from .pipeline import intracavity_cm, operating_point, output_cm_at
+from .pipeline import _covariance, operating_point
 from .steadystate import UnstableOperatingPointError
 
 TARGETS = (
@@ -190,15 +190,12 @@ def _evaluate_point(record, epsilon, omega_over_omega_m, target):
     if target == "coupling_magnitude_TM":
         return abs(ss.coupling_tm), True, diags, ""
 
-    pair = _TARGET_PAIR[target]
+    where = "output" if target == "EN_TE_mech_output" else "intracavity"
     try:
-        if target == "EN_TE_mech_output":
-            v, _, _ = output_cm_at(params, epsilon, omega_over_omega_m)
-        else:
-            v, _, _ = intracavity_cm(params)
-        v_bp = reduce_bipartite(v, pair)
-        diags["nu_min"] = min_symplectic_pt(v_bp)
-        return log_negativity(v_bp), True, diags, ""
+        v = _covariance(dp, ss, where, epsilon, omega_over_omega_m)
+        nu = min_symplectic_pt(reduce_bipartite(v, _TARGET_PAIR[target]))
+        diags["nu_min"] = nu
+        return _negativity_of_nu(nu), True, diags, ""
     except ParameterError as err:
         return _NAN, True, diags, "config: %s" % err
     except (LyapunovError, ArithmeticError, np.linalg.LinAlgError) as err:

@@ -12,10 +12,10 @@ import numpy as np
 
 from polaromech import (UnstableOperatingPointError, derive_constants,
                         entanglement, intracavity_cm, is_stable_eigen,
-                        is_stable_routh_hurwitz, log_negativity,
-                        min_symplectic_pt, min_symplectic_pt_spectral,
-                        operating_point, paper_params, solve_lyapunov,
-                        spectral_abscissa)
+                        log_negativity, min_symplectic_pt, operating_point,
+                        paper_params, solve_lyapunov, spectral_abscissa)
+from polaromech.dynamics import is_stable_routh_hurwitz
+from polaromech.gaussian import min_symplectic_pt_spectral
 from oracles import (brute_force_lyapunov, intracavity_cm_spectral,
                      random_physical_cm, random_stable_pair,
                      two_mode_squeezed_cm)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from goldens import golden_params
 
-from polaromech import (BASIS_LABELS, assemble_drift,
-                        characteristic_polynomial, derive_constants,
+from polaromech import (BASIS_LABELS, assemble_drift, derive_constants,
                         diffusion_matrix, drift_diffusion, drift_matrix,
-                        is_stable_eigen, is_stable_routh_hurwitz,
-                        paper_params, solve_steady_state, spectral_abscissa)
+                        is_stable_eigen, paper_params, solve_steady_state,
+                        spectral_abscissa)
+from polaromech.dynamics import (characteristic_polynomial,
+                                 is_stable_routh_hurwitz)
 
 # frozen drift matrix at theta = pi/4, golden baseline, omega_m units
 DRIFT_PI4 = np.array([

@@ -5,9 +5,10 @@ import pytest
 from oracles import random_physical_cm, two_mode_squeezed_cm
 
 from polaromech import (BipartiteCM, log_negativity, min_symplectic_pt,
-                        min_symplectic_pt_spectral, reduce_bipartite,
-                        symplectic_eigenvalues, symplectic_form, validate_cm,
+                        reduce_bipartite, symplectic_form, validate_cm,
                         intracavity_cm, paper_params)
+from polaromech.gaussian import (min_symplectic_pt_spectral,
+                                 symplectic_eigenvalues)
 
 
 def test_symplectic_form():

@@ -3,9 +3,9 @@ import math
 import pytest
 from goldens import golden_params
 
-from polaromech import (HBAR, K_BOLTZMANN, ParameterError, SystemParams,
-                        derive_constants, mean_phonon_number,
-                        polarization_split, paper_params)
+from polaromech import (ParameterError, SystemParams, derive_constants,
+                        mean_phonon_number, polarization_split, paper_params)
+from polaromech.constants import HBAR, K_BOLTZMANN
 
 TWO_PI = 2.0 * math.pi
 

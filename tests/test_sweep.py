@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 
 import pytest
 
 from polaromech import (FIGURES, Axis, ResultTable, SweepSpec,
-                        reproduce_figure, run_sweep)
+                        min_symplectic_pt, reproduce_figure, run_sweep,
+                        solve_steady_state)
 
 
 def _en_vs_detuning(count=5, low=0.8, high=1.2):
@@ -102,6 +104,52 @@ def test_stability_flag_target():
     assert flags[-1.0] == 0.0 and flags[1.0] == 1.0
     # instability is the measured answer here, not an error
     assert all(r[-1] == "" for r in t.rows)
+
+
+# --- work per point ---
+
+def _count_calls(monkeypatch, func):
+    """Replace func in every polaromech module that holds it; returns a tally."""
+    tally = []
+
+    def spy(*args, **kwargs):
+        tally.append(1)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "polaromech" or name.startswith("polaromech."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, spy)
+    return tally
+
+
+def _stable_counts(table):
+    col = table.columns.index("stable")
+    stable = sum(1 for r in table.rows if r[col])
+    return stable, len(table.rows) - stable
+
+
+def test_sweep_solves_each_row_once(monkeypatch):
+    solves = _count_calls(monkeypatch, solve_steady_state)
+    nus = _count_calls(monkeypatch, min_symplectic_pt)
+    t = run_sweep(SweepSpec(axis1=Axis("delta_c_over_omega_m", -1.0, 1.5, 4),
+                            axis2=Axis("power_w", 0.005, 0.02, 2),
+                            target="EN_TE_mech_intracavity"))
+    stable, unstable = _stable_counts(t)
+    assert stable > 0 and unstable > 0
+    assert len(solves) == len(t.rows)
+    assert len(nus) == stable
+
+
+def test_figure_rows_solve_once_per_polarization(monkeypatch):
+    solves = _count_calls(monkeypatch, solve_steady_state)
+    nus = _count_calls(monkeypatch, min_symplectic_pt)
+    t = reproduce_figure("fig2b")
+    stable, unstable = _stable_counts(t)
+    assert stable > 0
+    assert len(solves) == 2 * stable + unstable
+    assert len(nus) == 2 * stable
 
 
 # --- serialization ---
