@@ -41,6 +41,10 @@ def _add_common(sub):
                      help="fill unset keys from the baseline parameter set")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
+    _add_output(sub)
+
+
+def _add_output(sub):
     sub.add_argument("--out", metavar="PATH", help="write results to PATH "
                      "instead of stdout")
     sub.add_argument("--format", choices=["csv", "structured"], default="csv",
@@ -252,7 +256,7 @@ def build_parser():
     sub.set_defaults(func=_cmd_sweep)
 
     sub = subs.add_parser("figure", help="run one canned figure grid")
-    _add_common(sub)
+    _add_output(sub)
     sub.add_argument("id", help="one of: %s" % ", ".join(sorted(FIGURES)))
     sub.set_defaults(func=_cmd_figure)
 

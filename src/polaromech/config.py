@@ -10,19 +10,6 @@ import math
 
 from .params import SystemParams, ParameterError
 
-CONFIG_KEYS = (
-    "mass_kg",
-    "wavelength_m",
-    "omega_m_rad_s",
-    "g0_rad_s",
-    "q_cavity",
-    "q_mech",
-    "temperature_k",
-    "power_w",
-    "delta_c_over_omega_m",
-    "theta_rad",
-)
-
 # The baseline table of the README: 5 ng mirror, 810 nm drive, 2 pi x 10 MHz
 # mechanical mode, g0 = 242.4 rad/s, Q_c = 1e8, Q_m = 1e5, 400 mK bath,
 # 50 mW drive. Mass, power, wavelength, omega_m, Q_m and bath temperature
@@ -42,7 +29,8 @@ PAPER_BASELINE = {
     "theta_rad": 0.0,
 }
 
-# config key <-> SystemParams field, for error reporting in both directions
+# config key -> SystemParams field, in config-key order. Every value passes
+# through unchanged except the detuning, which is given in units of omega_m.
 _KEY_TO_FIELD = {
     "mass_kg": "mass",
     "wavelength_m": "wavelength",
@@ -55,6 +43,7 @@ _KEY_TO_FIELD = {
     "delta_c_over_omega_m": "cavity_detuning",
     "theta_rad": "polarization_angle",
 }
+CONFIG_KEYS = tuple(_KEY_TO_FIELD)
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 
@@ -79,20 +68,11 @@ def build_params(mapping):
     unknown = [k for k in mapping if k not in CONFIG_KEYS]
     if unknown:
         raise ConfigError("unknown configuration key", key=unknown[0])
-    omega_m = mapping["omega_m_rad_s"]
+    fields = {f: mapping[k] for k, f in _KEY_TO_FIELD.items()}
     try:
-        return SystemParams(
-            mass=mapping["mass_kg"],
-            wavelength=mapping["wavelength_m"],
-            mech_freq=omega_m,
-            single_photon_coupling=mapping["g0_rad_s"],
-            optical_quality=mapping["q_cavity"],
-            mech_quality=mapping["q_mech"],
-            temperature=mapping["temperature_k"],
-            drive_power=mapping["power_w"],
-            cavity_detuning=mapping["delta_c_over_omega_m"] * float(omega_m),
-            polarization_angle=mapping["theta_rad"],
-        )
+        fields["cavity_detuning"] = (fields["cavity_detuning"]
+                                     * float(fields["mech_freq"]))
+        return SystemParams(**fields)
     except ParameterError as err:
         key = _FIELD_TO_KEY.get(err.field_name, err.field_name)
         raise ConfigError("out-of-range value: %s" % err, key=key) from err
@@ -152,18 +132,9 @@ def params_record(p):
     Round-trips with build_params up to rounding in the detuning ratio;
     used to record full provenance alongside sweep results.
     """
-    return {
-        "mass_kg": p.mass,
-        "wavelength_m": p.wavelength,
-        "omega_m_rad_s": p.mech_freq,
-        "g0_rad_s": p.single_photon_coupling,
-        "q_cavity": p.optical_quality,
-        "q_mech": p.mech_quality,
-        "temperature_k": p.temperature,
-        "power_w": p.drive_power,
-        "delta_c_over_omega_m": p.cavity_detuning / p.mech_freq,
-        "theta_rad": p.polarization_angle,
-    }
+    record = {k: getattr(p, f) for k, f in _KEY_TO_FIELD.items()}
+    record["delta_c_over_omega_m"] = p.cavity_detuning / p.mech_freq
+    return record
 
 
 def paper_params(**overrides):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lyapunov import _default_modes
+
 # nu values within this relative band of 1/2 count as separable, so the
 # switched-off entanglement is exactly 0.0 rather than a rounding-sized float.
 SEPARABILITY_SNAP = 1e-12
@@ -83,16 +85,14 @@ class BipartiteCM:
 def reduce_bipartite(v, pair):
     """Trace out all but two modes of a labeled covariance matrix.
 
-    v is a CovarianceMatrix (or bare 2n x 2n array, labeled te/tm/mech when
-    6x6); pair names two distinct modes, order preserved in the result.
+    v is a CovarianceMatrix or a bare 2n x 2n array, labeled as the solver
+    labels it (lyapunov._default_modes: te/tm/mech when 6x6); pair names two
+    distinct modes, order preserved in the result.
     """
     m = _as_matrix(v)
     modes = getattr(v, "modes", None)
     if modes is None:
-        if m.shape[0] == 6:
-            modes = ("te", "tm", "mech")
-        else:
-            modes = tuple("m%d" % i for i in range(m.shape[0] // 2))
+        modes = _default_modes(m.shape[0])
     first, second = pair
     if first == second:
         raise ValueError("pair must name two distinct modes, got %r" % (pair,))

@@ -66,7 +66,7 @@ _DARK_VACUUM = 0.5 * np.kron([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
 
 
 def polarization_cm(v, cos_theta, sin_theta):
-    """6x6 (te, tm, mech) covariance from the 4x4 one of (bright, mech).
+    """6x6 (te, tm, mech) covariance array from the 4x4 one of (bright, mech).
 
     The dark mode d = -sin(theta) a_te + cos(theta) a_tm is uncorrelated
     vacuum, I/2, and R(theta) rotates (b, d) back to (te, tm) on both
@@ -75,14 +75,16 @@ def polarization_cm(v, cos_theta, sin_theta):
     V_ij = w_i w_j V_b[k_i, k_j] + u_i u_j [I/2 on equal quadratures], which
     is symmetric to the last bit. cos_theta and sin_theta are the snapped
     values of polarization_split, so at multiples of pi/2 the undriven mode
-    reads exactly I/2 with exactly 0.0 correlations.
+    reads exactly I/2 with exactly 0.0 correlations. The result is a bare
+    array in MODES order, so the solver's CovarianceMatrix stays the only
+    one an evaluation builds.
     """
     c, s = float(cos_theta), float(sin_theta)
     w = np.array([c, c, s, s, 1.0, 1.0])
     u = np.array([-s, -s, c, c, 0.0, 0.0])
-    full = (np.asarray(v, dtype=float)[_SPREAD] * np.multiply.outer(w, w)
+    full = (np.asarray(v)[_SPREAD] * np.multiply.outer(w, w)
             + _DARK_VACUUM * np.multiply.outer(u, u))
-    return CovarianceMatrix(full, modes=MODES)
+    return full
 
 
 def lyapunov_residual(a, d, v):
@@ -95,6 +97,7 @@ def lyapunov_residual(a, d, v):
 
 
 def _default_modes(n):
+    """Mode labels of an n x n covariance: MODES when 6x6, else m0, m1, ..."""
     if n == 6:
         return MODES
     return tuple("m%d" % i for i in range(n // 2))

@@ -5,9 +5,11 @@ scalar target at every point. Unstable operating points are data, not
 errors: the row is kept with its stability flag cleared and the target
 withheld (``unstable`` in CSV, null in the structured format). Every row
 also carries the operating-point diagnostics that make an entanglement
-number interpretable after the fact.
+number interpretable after the fact. The canned figures run through the
+same grid loop, over up to three axes and two targets.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +42,11 @@ _TARGET_PAIR = {
     "EN_TE_TM_intracavity": ("te", "tm"),
     "EN_TE_mech_output": ("te", "mech"),
 }
+
+# operating-point diagnostics of every evaluation, NaN where not reached
+_DIAGNOSTICS = ("q_s", "delta_eff_over_omega_m",
+                "coupling_mag_te_over_omega_m",
+                "coupling_mag_tm_over_omega_m", "nu_min")
 
 FORMAT_TAG = "polaromech.sweep.v1"
 
@@ -161,9 +168,7 @@ def _evaluate_point(record, epsilon, omega_over_omega_m, target):
     value is None when withheld (unstable point under a non-stability
     target), NaN when a numeric step failed.
     """
-    diags = {"q_s": _NAN, "delta_eff_over_omega_m": _NAN,
-             "coupling_mag_te_over_omega_m": _NAN,
-             "coupling_mag_tm_over_omega_m": _NAN, "nu_min": _NAN}
+    diags = dict.fromkeys(_DIAGNOSTICS, _NAN)
     try:
         params = build_params(record)
     except (ParameterError, ValueError) as err:
@@ -202,6 +207,48 @@ def _evaluate_point(record, epsilon, omega_over_omega_m, target):
         return _NAN, True, diags, "numeric: %s" % err
 
 
+def _split_filter(settings):
+    """(config record, epsilon, omega_over_omega_m) from one flat mapping.
+
+    The filter knobs default to epsilon = 10 and the Stokes sideband
+    Omega = -omega_m; every other key belongs to the config record.
+    """
+    record = dict(settings)
+    return (record, float(record.pop("epsilon", 10.0)),
+            float(record.pop("omega_over_omega_m", -1.0)))
+
+
+def _grid(settings, axes, cells):
+    """Rows over the cartesian product of axes, last axis fastest.
+
+    settings maps every config key (and optionally the filter knobs) to its
+    fixed value; axes are (name, values) pairs whose value replaces the
+    setting at each point. A row holds the axis values, then one entry per
+    cell: "stable", "error", a target (its value) or a (target, diagnostic)
+    pair. The first target decides stable; later targets run only on a
+    stable row and otherwise repeat the first; the first error wins.
+    """
+    targets = list(dict.fromkeys(
+        c if isinstance(c, str) else c[0] for c in cells
+        if c not in ("stable", "error")))
+    names = [name for name, _ in axes]
+    rows = []
+    for values in itertools.product(*[[float(v) for v in grid]
+                                      for _, grid in axes]):
+        record, eps, om = _split_filter({**settings, **dict(zip(names, values))})
+        first = _evaluate_point(record, eps, om, targets[0])
+        got = {targets[0]: first}
+        for target in targets[1:]:
+            got[target] = (_evaluate_point(record, eps, om, target)
+                           if first[1] else first)
+        named = {target: g[0] for target, g in got.items()}
+        named["stable"] = first[1]
+        named["error"] = next((g[3] for g in got.values() if g[3]), "")
+        rows.append(values + tuple(named[c] if isinstance(c, str)
+                                   else got[c[0]][2][c[1]] for c in cells))
+    return rows
+
+
 def run_sweep(spec, base=None):
     """Evaluate spec.target on the full axis grid; axis2 varies fastest.
 
@@ -209,61 +256,22 @@ def run_sweep(spec, base=None):
     baseline set when omitted). The sweep always completes: per-point
     failures are recorded in the row's error column.
     """
-    record0, eps0, om0 = _base_record(base, spec.overrides)
+    settings = dict(PAPER_BASELINE) if base is None else params_record(base)
+    settings.update((k, float(v)) for k, v in spec.overrides.items())
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
-    diag_cols = ("q_s", "delta_eff_over_omega_m",
-                 "coupling_mag_te_over_omega_m",
-                 "coupling_mag_tm_over_omega_m", "nu_min")
-    columns = tuple(a.name for a in axes) + (spec.target, "stable") \
-        + diag_cols + ("error",)
-
-    rows = []
-    grids = [a.grid() for a in axes]
-    for i in range(grids[0].size):
-        outer = float(grids[0][i])
-        for j in range(grids[1].size if len(grids) > 1 else 1):
-            point = {spec.axis1.name: outer}
-            if len(grids) > 1:
-                point[spec.axis2.name] = float(grids[1][j])
-            record = dict(record0)
-            eps, om = eps0, om0
-            for name, value in point.items():
-                if name == "epsilon":
-                    eps = value
-                elif name == "omega_over_omega_m":
-                    om = value
-                else:
-                    record[name] = value
-            value, stable, diags, err = _evaluate_point(
-                record, eps, om, spec.target)
-            rows.append(tuple(point[a.name] for a in axes) + (value, stable)
-                        + tuple(diags[c] for c in diag_cols) + (err,))
-
+    cells = ((spec.target, "stable")
+             + tuple((spec.target, c) for c in _DIAGNOSTICS) + ("error",))
+    rows = _grid(settings, [(a.name, a.grid()) for a in axes], cells)
+    record, eps, om = _split_filter(settings)
     meta = {
         "target": spec.target,
         "axes": [{"name": a.name, "low": a.low, "high": a.high,
                   "count": a.count} for a in axes],
-        "base_parameters": record0,
-        "epsilon": eps0,
-        "omega_over_omega_m": om0,
+        "base_parameters": record,
+        "epsilon": eps,
+        "omega_over_omega_m": om,
         "overrides": dict(spec.overrides),
     }
+    columns = (tuple(a.name for a in axes) + (spec.target, "stable")
+               + _DIAGNOSTICS + ("error",))
     return ResultTable(columns=columns, rows=tuple(rows), meta=meta)
-
-
-def _base_record(base, overrides):
-    """Full config record plus filter knobs after applying overrides."""
-    if base is None:
-        record = dict(PAPER_BASELINE)
-    else:
-        record = params_record(base)
-    epsilon = 10.0
-    omega_over_omega_m = -1.0
-    for key, value in overrides.items():
-        if key == "epsilon":
-            epsilon = float(value)
-        elif key == "omega_over_omega_m":
-            omega_over_omega_m = float(value)
-        else:
-            record[key] = float(value)
-    return record, epsilon, omega_over_omega_m

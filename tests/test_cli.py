@@ -125,7 +125,19 @@ def test_malformed_set(capsys):
 
 
 def test_unknown_figure(capsys):
-    assert cli.main(["figure", "fig77", "--defaults", "paper"]) == 2
+    assert cli.main(["figure", "fig77"]) == 2
+
+
+@pytest.mark.parametrize("option", [["--set", "power_w=0.001"],
+                                    ["--config", "/no/such/file.cfg"],
+                                    ["--defaults", "paper"]])
+def test_figure_rejects_parameter_options(tmp_path, capsys, option):
+    # canned figures always start from the baseline parameter set
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["figure", "fig2b", "--out", str(out)] + option)
+    assert e.value.code == 2
+    assert not out.exists()
 
 
 def test_bad_axis_spec(capsys):
@@ -236,8 +248,7 @@ def test_sweep_structured_stdout(capsys):
 
 def test_figure_command(tmp_path, capsys):
     out = tmp_path / "f.csv"
-    code, text = _run(capsys, "figure", "fig2b", "--defaults", "paper",
-                      "--out", str(out))
+    code, text = _run(capsys, "figure", "fig2b", "--out", str(out))
     assert code == 0
     assert "fig2b" in text and str(out) in text
     assert len(out.read_text().splitlines()) == 202

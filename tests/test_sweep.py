@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from polaromech import (FIGURES, Axis, ResultTable, SweepSpec,
-                        min_symplectic_pt, reproduce_figure, run_sweep,
-                        solve_steady_state)
+from polaromech import (FIGURES, PAPER_BASELINE, Axis, ResultTable,
+                        SweepSpec, min_symplectic_pt, reproduce_figure,
+                        run_sweep, solve_steady_state)
+from polaromech.sweep import _evaluate_point
 
 
 def _en_vs_detuning(count=5, low=0.8, high=1.2):
@@ -108,6 +109,15 @@ def test_stability_flag_target():
 
 # --- work per point ---
 
+def _replace(monkeypatch, func, stand_in):
+    """Replace func in every polaromech module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "polaromech" or name.startswith("polaromech."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, stand_in)
+
+
 def _count_calls(monkeypatch, func):
     """Replace func in every polaromech module that holds it; returns a tally."""
     tally = []
@@ -116,11 +126,7 @@ def _count_calls(monkeypatch, func):
         tally.append(1)
         return func(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "polaromech" or name.startswith("polaromech."):
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, spy)
+    _replace(monkeypatch, func, spy)
     return tally
 
 
@@ -205,6 +211,99 @@ def test_figure_registry():
     assert set(FIGURES) == {"fig2a", "fig2b", "fig2c", "fig2d",
                             "fig3a", "fig3b", "fig4a", "fig4b", "fig4c",
                             "fig4d"}
+
+
+_TE = "EN_TE_mech_intracavity"
+_TM = "EN_TM_mech_intracavity"
+_OUT = {"en_te_mech_output": "EN_TE_mech_output"}
+_CIRCLE_END = 2 * math.pi * 200 / 201
+_FIG2A_THETAS = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
+
+# per figure: axes in row order, output header -> cell, fixed overrides,
+# filter knobs in the metadata, row count, first and last axis values
+FIGURE_GRIDS = {
+    "fig2a": (("theta_rad", "delta_c_over_omega_m"),
+              {"en_te_mech": _TE, "en_tm_mech": _TM},
+              {"theta_rad": _FIG2A_THETAS}, {}, 1005,
+              (0.0, 0.5), (math.pi / 2, 1.5)),
+    "fig2b": (("theta_rad",), {"en_te_mech": _TE, "en_tm_mech": _TM},
+              {"delta_c_over_omega_m": 1.0}, {}, 201,
+              (0.0,), (_CIRCLE_END,)),
+    "fig2c": (("delta_c_over_omega_m", "theta_rad"),
+              {"en_te_mech": _TE, "en_tm_mech": _TM}, {}, {}, 10201,
+              (0.5, 0.0), (1.5, math.pi / 2)),
+    "fig2d": (("delta_c_over_omega_m", "theta_rad"),
+              {"coupling_mag_te_over_omega_m":
+               ("coupling_magnitude_TE", "coupling_mag_te_over_omega_m")},
+              {}, {}, 10201, (0.5, 0.0), (1.5, math.pi / 2)),
+    "fig3a": (("epsilon", "theta_rad"), _OUT, {"delta_c_over_omega_m": 1.0},
+              {"omega_over_omega_m": -1.0}, 1005,
+              (1.0, 0.0), (20.0, _CIRCLE_END)),
+    "fig3b": (("epsilon", "omega_over_omega_m", "theta_rad"), _OUT,
+              {"delta_c_over_omega_m": 1.0}, {}, 3255,
+              (1.0, -2.0, 0.0), (20.0, 0.0, math.pi / 2)),
+    "fig4a": (("temperature_k", "theta_rad"), _OUT,
+              {"delta_c_over_omega_m": 1.0},
+              {"epsilon": 10.0, "omega_over_omega_m": -1.0}, 1681,
+              (0.02, 0.0), (3.0, math.pi / 2)),
+    "fig4b": (("omega_over_omega_m", "temperature_k"), _OUT,
+              {"delta_c_over_omega_m": 1.0}, {"epsilon": 10.0}, 1681,
+              (-2.0, 0.02), (0.0, 3.0)),
+    "fig4c": (("theta_rad", "q_cavity"),
+              {"en_te_mech": _TE, "en_tm_mech": _TM},
+              {"delta_c_over_omega_m": 0.6}, {}, 3721,
+              (0.0, 1e6), (math.pi / 2, 1e9)),
+    "fig4d": (("delta_c_over_omega_m", "q_cavity"), {"en_te_mech": _TE},
+              {"theta_rad": 0.0}, {}, 3721, (0.5, 1e6), (1.5, 1e9)),
+}
+
+_PROBED = ("theta_rad", "delta_c_over_omega_m", "temperature_k", "q_cavity")
+
+
+def _stub_point(record, epsilon, omega_over_omega_m, target):
+    # echoes what reached the evaluation: the target, the filter knobs and
+    # the config keys any figure varies
+    assert set(record) == set(PAPER_BASELINE)
+    value = ((target, epsilon, omega_over_omega_m)
+             + tuple(record[k] for k in _PROBED))
+    diags = {"coupling_mag_te_over_omega_m": ("diagnostic of", target)}
+    return value, True, diags, ""
+
+
+def _expected_cells(cells, overrides, knobs, axes, axis_values):
+    point = {**PAPER_BASELINE, "epsilon": 10.0, "omega_over_omega_m": -1.0,
+             **overrides, **knobs, **dict(zip(axes, axis_values))}
+    echo = tuple(point[k] for k in ("epsilon", "omega_over_omega_m")
+                 + _PROBED)
+    return tuple((target,) + echo if isinstance(target, str)
+                 else ("diagnostic of", target[0]) for target in cells)
+
+
+def test_every_figure_grid(monkeypatch):
+    _replace(monkeypatch, _evaluate_point, _stub_point)
+    assert set(FIGURE_GRIDS) == set(FIGURES)
+    total = 0
+    for fig, grid in FIGURE_GRIDS.items():
+        axes, outputs, overrides, knobs, count, first, last = grid
+        t = reproduce_figure(fig)
+        total += len(t.rows)
+        assert t.columns == axes + tuple(outputs) + ("stable", "error"), fig
+        assert len(t.rows) == count, fig
+        n = len(axes)
+        assert t.rows[0][:n] == pytest.approx(first, rel=1e-15), fig
+        assert t.rows[-1][:n] == pytest.approx(last, rel=1e-15), fig
+        # the last axis varies fastest
+        assert t.rows[1][:n - 1] == t.rows[0][:n - 1], fig
+        assert t.rows[1][n - 1] > t.rows[0][n - 1], fig
+        for row in (t.rows[0], t.rows[-1]):
+            cells = _expected_cells(outputs.values(), overrides, knobs, axes,
+                                    row[:n])
+            assert row[n:] == cells + (True, ""), fig
+        assert t.meta == {"figure": fig, "description": t.meta["description"],
+                          "base_parameters": PAPER_BASELINE,
+                          "overrides": overrides, **knobs}, fig
+        assert t.meta["description"], fig
+    assert total == 36672
 
 
 def test_fig2b_shape_and_symmetry():
