@@ -44,9 +44,8 @@ def _add_common(sub):
     _add_output(sub)
 
 
-def _add_output(sub):
-    sub.add_argument("--out", metavar="PATH", help="write results to PATH "
-                     "instead of stdout")
+def _add_output(sub, out_help="write results to PATH instead of stdout"):
+    sub.add_argument("--out", metavar="PATH", help=out_help)
     sub.add_argument("--format", choices=["csv", "structured"], default="csv",
                      help="output format (default csv)")
 
@@ -256,7 +255,8 @@ def build_parser():
     sub.set_defaults(func=_cmd_sweep)
 
     sub = subs.add_parser("figure", help="run one canned figure grid")
-    _add_output(sub)
+    _add_output(sub, "write the table to PATH (default: <id>.csv, or <id>.json "
+                     "with --format structured, in the working directory)")
     sub.add_argument("id", help="one of: %s" % ", ".join(sorted(FIGURES)))
     sub.set_defaults(func=_cmd_figure)
 

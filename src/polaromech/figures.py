@@ -38,9 +38,7 @@ FIGURES = {
     "fig2a": {
         "description": "Intracavity E_N of both polarizations vs detuning, "
                        "at five polarization angles.",
-        # the metadata lists the five angles as overrides; the theta axis
-        # replaces them at every point
-        "overrides": {"theta_rad": _FIG2A_THETAS},
+        "overrides": {},
         "axes": (("theta_rad", _FIG2A_THETAS),
                  ("delta_c_over_omega_m", np.linspace(0.5, 1.5, 201))),
         "columns": _BOTH_INTRACAVITY,

@@ -30,16 +30,18 @@ the bare mechanical 2x2 block with one scalar sigma(w) = b^T Z_o^(-1) c
 subtracted from its (p, q) entry. Every entry of M is then a few length-N
 array operations on an entry-major (4, 4, N) stack.
 
-Numerically the integral is evaluated as a difference against the
-zero-coupling reference system, whose covariance is known exactly: the
-filtered optical output is vacuum, I/2 by filter normalization, and the
-uncoupled Markovian oscillator is thermal, (n_m + 1/2) I. The difference
-integrand vanishes identically on decoupled blocks, so pure modes come out
-exactly pure instead of carrying quadrature truncation noise, and its
-high-frequency tail falls off two powers faster.
+Numerically the integral is evaluated as a difference against its
+zero-coupling reference, whose covariance is known exactly: the filtered
+optical output is vacuum, I/2 by filter normalization, and the uncoupled
+Markovian oscillator is thermal, (n_m + 1/2) I. The reference's resolvent
+is Z_o^(-1) and the bare mechanical inverse, so its Gram is block-diagonal.
+The difference integrand vanishes identically on decoupled blocks, so pure
+modes come out exactly pure instead of carrying quadrature truncation
+noise, and its high-frequency tail falls off two powers faster. Panels
+graded around the resonances are integrated with the G7/K15 Gauss-Kronrod
+pair, and only those whose two rules disagree too much are bisected.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -54,13 +56,26 @@ from .params import _checked
 TWO_PI = 2.0 * math.pi
 
 # Quadrature settings. The window is at least _FREQ_CUTOFF mechanical
-# frequencies wide (and covers the filter main lobes); panels are doubled
-# at most _MAX_DOUBLINGS times until no entry of V moves by more than
-# _TOLERANCE of its largest entry (floor 1).
+# frequencies wide (and covers the filter main lobes); panels are bisected
+# at most _MAX_DEPTH times (see _gauss_kronrod).
 _FREQ_CUTOFF = 40.0
 _TOLERANCE = 1e-9
-_MAX_DOUBLINGS = 6
-_GAUSS_ORDER = 12
+_MAX_DEPTH = 8
+
+# Gauss-Kronrod pair on [-1, 1], QUADPACK's qk15 to double precision: the
+# positive Kronrod nodes, and the Kronrod and Gauss weights from the ends to
+# the centre; the 7 Gauss nodes are the Kronrod nodes at odd indices.
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+       0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+       0.20778495500789848)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+       0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+       0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+       0.4179591836734694)
+_KRONROD_NODES = np.array([-x for x in _XK] + [0.0] + list(_XK[::-1]))
+_KRONROD_WEIGHTS = np.array(_WK + _WK[-2::-1])
+_GAUSS_WEIGHTS = np.array(_WG + _WG[-2::-1])
 
 
 @dataclass(frozen=True)
@@ -117,23 +132,6 @@ def _check_filter(spec, mech_freq):
                          "omega_m * tau = %g" % (spec.epsilon, eps))
 
 
-@functools.cache
-def _gauss_rule():
-    # computed on first use: importing numpy.polynomial costs every import
-    # of the package a few ms, and only the quadrature needs it
-    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-
-
-def _gauss_panels(edges):
-    """Gauss-Legendre nodes/weights on each panel of a sorted edge array."""
-    x, wt = _gauss_rule()
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = (0.5 * (b - a) * x[None, :] + 0.5 * (b + a)).ravel()
-    weights = (0.5 * (b - a) * wt[None, :]).ravel()
-    return nodes, weights
-
-
 def _graded_edges(features, width, spacing=0.25, max_between=6):
     """Panel edges on [0, width], geometrically graded around each feature.
 
@@ -180,10 +178,15 @@ def _filter_blocks(w, spec_scaled):
     what lets the integral fold onto w >= 0.
     """
     gp = filter_fourier(spec_scaled, w)
-    gm = filter_fourier(spec_scaled, -w)
-    fx = 0.5 * (gp + np.conj(gm))
-    fy = (gp - np.conj(gm)) / 2j
-    return fx, fy
+    gm = np.conj(filter_fourier(spec_scaled, -w))
+    return 0.5 * (gp + gm), (gp - gm) / 2j
+
+
+def _optical_inverse(z, a):
+    """(diag, off) of Z_o^(-1) = [[diag, -off], [off, diag]] at z = i w."""
+    s = z + a[0, 0]
+    den = s * s + a[0, 1] ** 2
+    return s / den, a[0, 1] / den
 
 
 def _resolvent(w, a):
@@ -203,10 +206,7 @@ def _resolvent(w, a):
         raise ValueError("closed-form resolvent needs a drift matrix with "
                          "the structure of assemble_bright_drift")
     z = 1j * np.asarray(w, dtype=float)
-    s = z + a[0, 0]
-    den = s * s + a[0, 1] ** 2
-    diag = s / den              # the optical block inverse is
-    off = a[0, 1] / den         # [[diag, -off], [off, diag]]
+    diag, off = _optical_inverse(z, a)
     c, b = a[:2, 2], a[3, :2]
     u = np.stack([diag * c[0] - off * c[1], off * c[0] + diag * c[1]])
     v = np.stack([b[0] * diag + b[1] * off, b[1] * diag - b[0] * off])
@@ -232,25 +232,16 @@ def _resolvent(w, a):
     return m
 
 
-def _gram(y, weights):
-    """Re sum_k d_k y_ik conj(y_jk) for entry-major y, as an (N, n, n) view.
-
-    weights maps each noisy column k to d_k >= 0 (scalar or per node); the
-    other columns carry no noise. The result is symmetric by construction.
-    """
-    g = np.stack([y[:, k] * np.sqrt(d) for k, d in weights.items()], axis=1)
+def _gram(y, d):
+    """Re sum_k d_k y_ik conj(y_jk) for entry-major y (n, K, N): (n, n, N)."""
+    g = y * np.sqrt(d)[:, None]
     g = np.concatenate([g.real, g.imag], axis=1)
     n = y.shape[0]
     h = np.empty((n, n, y.shape[2]))
     for i in range(n):
         for j in range(i, n):
             h[i, j] = h[j, i] = np.einsum("kn,kn->n", g[i], g[j])
-    return np.moveaxis(h, 2, 0)
-
-
-def _noise_weights(d):
-    """The nonzero diagonal entries of a diffusion matrix, by column."""
-    return {k: float(d[k, k]) for k in range(d.shape[0]) if d[k, k]}
+    return h
 
 
 def _difference_integrand(w, a, a_ref, d, spec):
@@ -260,49 +251,77 @@ def _difference_integrand(w, a, a_ref, d, spec):
     kappa, which also sets the input-output relation a_out = sqrt(2 kappa)
     a - a_in. The integrand is Hermitian with H(-w) = conj(H(w)), so
     folding the negative-frequency half gives 2 Re H; the result is
-    manifestly real and symmetric.
+    manifestly real and symmetric. a_ref is a without its coupling, so its
+    Gram takes the optical block of a and its own mechanical block.
     """
     kappa_bar = d[0, 0]
-    sq = math.sqrt(2.0 * kappa_bar)
     fx, fy = _filter_blocks(w, spec)
-    weights = _noise_weights(d)
 
-    def output_gram(drift):
-        x = _resolvent(w, drift)
+    def optical_rows(x):
+        # T [x + P/(2 kappa)] on the optical rows of entry-major x
         x[0, 0] += 0.5 / kappa_bar
         x[1, 1] += 0.5 / kappa_bar
-        y = np.empty_like(x)
-        y[0] = sq * (fx * x[0] - fy * x[1])
-        y[1] = sq * (fy * x[0] + fx * x[1])
-        y[2:] = x[2:] / math.sqrt(TWO_PI)
-        return _gram(y, weights)
+        return math.sqrt(2.0 * kappa_bar) * np.stack(
+            [fx * x[0] - fy * x[1], fy * x[0] + fx * x[1]])
 
-    return 2.0 * (output_gram(a) - output_gram(a_ref))
+    # the full system on its noisy columns X, Y and p
+    x = _resolvent(w, a)[:, [0, 1, 3]]
+    h = _gram(np.concatenate([optical_rows(x[:2]), x[2:] / math.sqrt(TWO_PI)]),
+              np.diag(d)[[0, 1, 3]])
+    # the reference: optical block from columns X and Y, mechanical from p
+    diag, off = _optical_inverse(1j * w, a)
+    h[:2, :2] -= _gram(optical_rows(np.array([[diag, -off], [off, diag]])),
+                       np.diag(d)[:2])
+    s_qq = 1j * w + a_ref[2, 2]
+    det = s_qq * (1j * w + a_ref[3, 3]) - a_ref[2, 3] * a_ref[3, 2]
+    h[2:, 2:] -= _gram(np.stack([[-a_ref[2, 3] / det], [s_qq / det]])
+                       / math.sqrt(TWO_PI), d[3, 3:])
+    return 2.0 * np.moveaxis(h, 2, 0)
 
 
-def _converge_panels(edges, evaluate):
-    """Integrate evaluate(w) with panel doubling until entries stop moving.
+def _gauss_kronrod(edges, evaluate):
+    """Integrate evaluate(w) over the panels of edges with the G7/K15 pair.
 
-    Returns (value, achieved_change); raises ArithmeticError on the first
-    non-finite value, and when doubling _MAX_DOUBLINGS times still moves
-    some entry beyond _TOLERANCE.
+    Returns the sum of the panels' K15 values V once the sum of their error
+    estimates is within _TOLERANCE * max(1, max|V|). Until then each panel
+    over its share, the budget over the number of panels, is bisected, all
+    halves of one level in one evaluate call. The estimate is QUADPACK's:
+    |K15 - G7| scaled toward the panel's spread about its mean, which it
+    reaches on a panel spanning many filter rings, where |K15 - G7| alone
+    reads low. Raises ArithmeticError on the first non-finite value, and
+    when the budget is still exceeded after _MAX_DEPTH bisections.
     """
-    prev = None
-    change = math.inf
-    for _ in range(_MAX_DOUBLINGS + 1):
-        nodes, weights = _gauss_panels(edges)
-        val = np.einsum("i,ijk->jk", weights, evaluate(nodes))
-        if not np.all(np.isfinite(val)):
+    new_lo, new_hi = edges[:-1], edges[1:]
+    lo = hi = err = np.zeros(0)
+    for depth in range(_MAX_DEPTH + 1):
+        half = 0.5 * (new_hi - new_lo)[:, None]
+        nodes = ((new_lo[:, None] + half) + half * _KRONROD_NODES).ravel()
+        f = evaluate(nodes)
+        shape = f.shape[1:]
+        f = f.reshape(new_lo.size, _KRONROD_NODES.size, -1)
+        k = half * np.einsum("k,pkj->pj", _KRONROD_WEIGHTS, f)
+        if not np.all(np.isfinite(k)):
             raise ArithmeticError("non-finite output quadrature value on %d "
-                                  "nodes" % len(nodes))
-        if prev is not None:
-            change = float(np.max(np.abs(val - prev)))
-            if change < _TOLERANCE * max(1.0, float(np.max(np.abs(val)))):
-                return val, change
-        prev = val
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    raise ArithmeticError("output quadrature did not converge: last panel "
-                          "doubling still moved entries by %g" % change)
+                                  "nodes" % nodes.size)
+        e = np.abs(k - half * np.einsum("k,pkj->pj", _GAUSS_WEIGHTS, f[:, 1::2]))
+        spread = half * np.einsum("k,pkj->pj", _KRONROD_WEIGHTS,
+                                  np.abs(f - k[:, None] / (2.0 * half[:, None])))
+        ratio = 200.0 * e / np.maximum(np.maximum(spread, 200.0 * e), 1e-300)
+        lo, hi = np.r_[lo, new_lo], np.r_[hi, new_hi]
+        err = np.r_[err, np.max(spread * ratio ** 1.5, axis=1)]
+        kron = np.concatenate([kron, k]) if depth else k
+        value = kron.sum(axis=0).reshape(shape)
+        budget = _TOLERANCE * max(1.0, float(np.max(np.abs(value))))
+        total = err.sum()
+        if total <= budget:
+            return value
+        over = err > budget / err.size
+        mid = 0.5 * (lo[over] + hi[over])
+        new_lo, new_hi = np.r_[lo[over], mid], np.r_[mid, hi[over]]
+        lo, hi, err, kron = lo[~over], hi[~over], err[~over], kron[~over]
+    raise ArithmeticError("output quadrature did not converge: after %d "
+                          "bisections the G7 -> K15 error estimates still "
+                          "moved entries by %g" % (_MAX_DEPTH, total))
 
 
 def _scaled_setup(ss, dp):
@@ -351,13 +370,11 @@ def output_cm(ss, dp, spec):
     if spectral_abscissa(a) >= -STABILITY_MARGIN:
         raise ValueError("cannot form the stationary output of an unstable system")
 
-    diff, _ = _converge_panels(edges, evaluate)
-
     # the reference: filtered vacuum, exact by filter normalization, and the
     # uncoupled Markovian oscillator, whose A V + V A^T = -D gives V_qp = 0
     # and V_qq = V_pp = n_m + 1/2
     thermal = dp.thermal_occupancy + 0.5
-    v = diff + np.diag([0.5, 0.5, thermal, thermal])
+    v = _gauss_kronrod(edges, evaluate) + np.diag([0.5, 0.5, thermal, thermal])
 
     asym = float(np.max(np.abs(v - v.T)))
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(v)))):

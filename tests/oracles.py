@@ -225,7 +225,7 @@ def intracavity_cm_spectral(ss, dp):
         h = m @ d @ np.conj(np.swapaxes(m, 1, 2))
         return 2.0 * np.real(h) / (2.0 * math.pi)
 
-    val, _ = outputfield._converge_panels(edges, evaluate)
+    val = outputfield._gauss_kronrod(edges, evaluate)
     v = val + d / (math.pi * cutoff)
     return 0.5 * (v + v.T)
 
@@ -254,7 +254,9 @@ def dump_integrand(path, ss, dp, spec):
     from polaromech import outputfield
 
     *_, evaluate, edges = outputfield._output_problem(ss, dp, spec)
-    nodes, _ = outputfield._gauss_panels(edges)
+    half = 0.5 * np.diff(edges)
+    nodes = ((edges[:-1] + half)[:, None]
+             + half[:, None] * outputfield._KRONROD_NODES).ravel()
     h = evaluate(nodes)
     n = h.shape[1]
     with open(path, "w") as fh:

@@ -254,6 +254,27 @@ def test_figure_command(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 202
 
 
+def _out_help(command):
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if a.dest == "command")
+    return next(a.help for a in subs.choices[command]._actions
+                if "--out" in a.option_strings)
+
+
+def test_figure_out_help_names_the_default_files(tmp_path, capsys, monkeypatch):
+    # figure never writes its table to stdout: without --out it writes
+    # <id>.csv or <id>.json in the working directory, as its help says
+    text = _out_help("figure")
+    assert "stdout" not in text
+    assert "<id>.csv" in text and "<id>.json" in text
+    for command in ("steady", "entangle", "sweep", "validate"):
+        assert "stdout" in _out_help(command)
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, "figure", "fig2b")[0] == 0
+    assert _run(capsys, "figure", "fig2b", "--format", "structured")[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2b.csv", "fig2b.json"]
+
+
 def test_validate_command(capsys):
     code, out = _run(capsys, "validate", "--defaults", "paper")
     assert code == 0

@@ -326,11 +326,50 @@ def test_unstable_point_rejected():
         output_cm(ss, dp, spec)
 
 
+def test_gauss_kronrod_tables_are_exact():
+    # K15 integrates x^k on [-1, 1] exactly up to k = 22 and G7 up to
+    # k = 13; the Gauss nodes are the Kronrod nodes at odd indices
+    x = outputfield._KRONROD_NODES
+    wk, wg = outputfield._KRONROD_WEIGHTS, outputfield._GAUSS_WEIGHTS
+    assert x.shape == wk.shape == (15,) and wg.shape == (7,)
+    assert np.all(np.diff(x) > 0.0)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wk @ x ** k - exact) <= 1e-15
+        if k <= 13:
+            assert abs(wg @ x[1::2] ** k - exact) <= 1e-15
+    legendre_x, legendre_w = np.polynomial.legendre.leggauss(7)
+    assert np.abs(x[1::2] - legendre_x).max() <= 1e-15
+    assert np.abs(wg - legendre_w).max() <= 1e-15
+
+
+def _nodes_seen(monkeypatch, params, epsilon):
+    seen = []
+    integrand = outputfield._difference_integrand
+
+    def spy(w, *args):
+        seen.append(w.size)
+        return integrand(w, *args)
+
+    monkeypatch.setattr(outputfield, "_difference_integrand", spy)
+    output_cm_at(params, epsilon, -1.0)
+    return sum(seen)
+
+
+def test_overdamped_corner_costs_few_times_a_typical_point(monkeypatch):
+    # refinement is local: the sharp Q_c = 1e6 corner bisects only the
+    # panels that need it instead of doubling the whole grid
+    typical = _nodes_seen(monkeypatch, paper_params(), 10.0)
+    corner = _nodes_seen(monkeypatch, paper_params(
+        optical_quality=1e6, temperature=0.02, polarization_angle=0.0), 5.0)
+    assert corner <= 5 * typical
+
+
 def test_nonconvergence_raises_with_achieved_change(monkeypatch):
     p, dp, ss = _baseline()
     spec = FilterSpec.stokes(10.0, dp.mech_freq)
     monkeypatch.setattr(outputfield, "_TOLERANCE", 1e-30)
-    monkeypatch.setattr(outputfield, "_MAX_DOUBLINGS", 1)
+    monkeypatch.setattr(outputfield, "_MAX_DEPTH", 1)
     with pytest.raises(ArithmeticError) as err:
         output_cm(ss, dp, spec)
     assert "did not converge" in str(err.value)

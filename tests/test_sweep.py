@@ -217,14 +217,13 @@ _TE = "EN_TE_mech_intracavity"
 _TM = "EN_TM_mech_intracavity"
 _OUT = {"en_te_mech_output": "EN_TE_mech_output"}
 _CIRCLE_END = 2 * math.pi * 200 / 201
-_FIG2A_THETAS = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
 # per figure: axes in row order, output header -> cell, fixed overrides,
 # filter knobs in the metadata, row count, first and last axis values
 FIGURE_GRIDS = {
     "fig2a": (("theta_rad", "delta_c_over_omega_m"),
               {"en_te_mech": _TE, "en_tm_mech": _TM},
-              {"theta_rad": _FIG2A_THETAS}, {}, 1005,
+              {}, {}, 1005,
               (0.0, 0.5), (math.pi / 2, 1.5)),
     "fig2b": (("theta_rad",), {"en_te_mech": _TE, "en_tm_mech": _TM},
               {"delta_c_over_omega_m": 1.0}, {}, 201,
